@@ -18,7 +18,9 @@
 // about `now - arrival` as if it were absolute time.
 //
 // activeAt() keeps the simulator's per-box stabilization refresh ticks
-// alive while any fault window may still be open. Crucially the horizon it
+// alive while any fault window may still be open, or until the leak audit
+// retires a cleanly torn-down call's boxes, whichever comes first (a tick
+// on a retired box does nothing). Crucially the horizon it
 // answers with is computed over the WHOLE workload (ShardedRuntime passes
 // it in), not over the calls this shard happened to draw: refresh-tick
 // chains live and die by activeAt(), and if their lifetime varied by shard

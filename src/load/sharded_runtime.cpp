@@ -20,7 +20,7 @@ namespace cmc::load {
 namespace {
 
 // One call's live state inside a shard. Boxes are owned by the shard's
-// Simulator and never removed, so the raw pointers stay valid for the run.
+// Simulator; a pointer is nulled when the leak audit retires its box.
 struct CallRuntime {
   CallSpec spec;
   LoadEndpointBox* left = nullptr;
@@ -325,13 +325,24 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
               call.outcome.clean_teardown = leakFree(call.left) &&
                                             leakFree(call.right) &&
                                             leakFree(call.relay);
+              if (!call.outcome.clean_teardown) return;
+              // The call is over: retire its boxes so the shard stops
+              // carrying (and refresh-ticking) them for the rest of the run.
+              if (sim.retireBox(call.spec.leftName())) call.left = nullptr;
+              if (sim.retireBox(call.spec.rightName())) call.right = nullptr;
+              if (call.relay != nullptr &&
+                  sim.retireBox(call.spec.relayName())) {
+                call.relay = nullptr;
+              }
             });
       }
     }
 
     // All lifecycle events are pre-scheduled; grants of virtual time keep
-    // flowing until the shard drains (retry chains stop at teardown, refresh
-    // ticks stop at the fault horizon, so it always does).
+    // flowing until the shard drains. Retry chains stop at teardown; the
+    // refresh ticks of a cleanly torn-down call stop when its leak audit
+    // retires its boxes, and those of any box left behind stop at the fault
+    // horizon, so the loop always drains.
     bool idle = false;
     {
       CMC_PROF_SCOPE("shard.drain");

@@ -36,7 +36,8 @@
 // Call lifecycle inside a shard (all in the shard's virtual time):
 //   arrival            spawn boxes, dial, arm "call_setup" probe
 //   + setup_grace+hold final probe check, disarm, caller hangs up
-//   + teardown_grace   leak audit: every box back to 0 slots / 0 goals
+//   + teardown_grace   leak audit: every box back to 0 slots / 0 goals;
+//                      a clean call's boxes are then retired from the shard
 #pragma once
 
 #include <cstdint>

@@ -241,13 +241,6 @@ void MetricsRegistry::mergeAdditiveFrom(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 MetricsRegistry* metrics() noexcept {
   if (t_metrics != nullptr) return t_metrics;
   return g_metrics.load(std::memory_order_relaxed);

@@ -156,8 +156,6 @@ class MetricsRegistry {
   // also keeps a sharded rollup invariant in the shard count.
   void mergeAdditiveFrom(const MetricsRegistry& other);
 
-  void clear();
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;

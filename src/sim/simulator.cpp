@@ -26,6 +26,12 @@ const std::string& signalCounterName(SignalKind kind) {
   return names[static_cast<std::size_t>(kind)];
 }
 
+obs::Counter& cachedCounter(obs::Counter*& slot, obs::MetricsRegistry& m,
+                            std::string_view name) {
+  if (slot == nullptr) slot = &m.counter(name);
+  return *slot;
+}
+
 }  // namespace
 
 Simulator::Simulator(TimingModel timing, std::uint64_t seed)
@@ -77,18 +83,50 @@ void Simulator::useSimTimeForLogs() {
 }
 
 Box& Simulator::box(const std::string& name) {
+  BoxEntry* entry = findBox(name);
+  if (entry == nullptr) throw std::logic_error("unknown box: " + name);
+  return *entry->box;
+}
+
+Simulator::BoxEntry* Simulator::findBox(const std::string& name) noexcept {
   auto it = boxes_.find(name);
-  if (it == boxes_.end()) throw std::logic_error("unknown box: " + name);
-  return *it->second;
+  return it == boxes_.end() ? nullptr : &it->second;
 }
 
 void Simulator::registerBox(std::unique_ptr<Box> box) {
   const std::string& name = box->name();
-  if (boxes_.count(name) != 0) throw std::logic_error("duplicate box: " + name);
-  box_clock_[name] = BoxClock{SimTime{}, "sim.box_busy_us." + name};
+  auto [it, inserted] = boxes_.try_emplace(name);
+  if (!inserted) throw std::logic_error("duplicate box: " + name);
+  BoxEntry& entry = it->second;
+  entry.busy_counter = "sim.box_busy_us." + name;
   if (fault_plan_ != nullptr) box->enableStabilization(true);
-  boxes_.emplace(name, std::move(box));
-  if (fault_plan_ != nullptr) scheduleRefreshTick(name);
+  entry.box = std::move(box);
+  if (fault_plan_ != nullptr) scheduleRefreshTick(entry);
+}
+
+bool Simulator::retireBox(const std::string& name) {
+  auto it = boxes_.find(name);
+  if (it == boxes_.end()) return false;
+  const BoxEntry& entry = it->second;
+  const Box& target = *entry.box;
+  if (target.slotCount() != 0 || target.goalCount() != 0 ||
+      entry.down_until || entry.stimuli_pending != 0) {
+    return false;
+  }
+  const std::uint64_t id = target.id().value();
+  routes_.erase(routes_.lower_bound({id, SlotId{0}}),
+                routes_.lower_bound({id + 1, SlotId{0}}));
+  boxes_.erase(it);
+  return true;
+}
+
+Simulator::MetricHandles& Simulator::handlesFor(
+    obs::MetricsRegistry* m) noexcept {
+  if (handles_.registry != m) {
+    handles_ = MetricHandles{m};
+    for (auto& [name, entry] : boxes_) entry.busy = nullptr;
+  }
+  return handles_;
 }
 
 ChannelId Simulator::connect(const std::string& a, const std::string& b,
@@ -117,10 +155,14 @@ ChannelId Simulator::connect(const std::string& a, const std::string& b,
 }
 
 void Simulator::inject(const std::string& box_name, std::function<void(Box&)> fn) {
-  Box& target = box(box_name);
+  BoxEntry* entry = findBox(box_name);
+  if (entry == nullptr) throw std::logic_error("unknown box: " + box_name);
+  ++entry->stimuli_pending;  // queued from now, not just once stimulated
   loop_.schedule(SimDuration{0},
-                 [this, &target, fn = std::move(fn)]() mutable {
-                   stimulate(target, [&target, fn = std::move(fn)]() { fn(target); });
+                 [this, entry, fn = std::move(fn)]() mutable {
+                   --entry->stimuli_pending;
+                   Box& target = *entry->box;
+                   stimulate(*entry, [&target, fn = std::move(fn)]() { fn(target); });
                  });
 }
 
@@ -131,9 +173,9 @@ void Simulator::runFor(SimDuration d) { loop_.runUntil(loop_.now() + d); }
 void Simulator::installFaultPlan(FaultPlan* plan) {
   fault_plan_ = plan;
   if (plan == nullptr) return;
-  for (auto& [name, box] : boxes_) {
-    box->enableStabilization(true);
-    scheduleRefreshTick(name);
+  for (auto& [name, entry] : boxes_) {
+    entry.box->enableStabilization(true);
+    scheduleRefreshTick(entry);
   }
   for (const CrashEvent& crash : plan->crashes()) {
     loop_.scheduleAt(crash.at, [this, crash]() { crashBox(crash); });
@@ -148,16 +190,15 @@ void Simulator::installFaultPlan(FaultPlan* plan) {
 }
 
 bool Simulator::boxDown(const std::string& name) const noexcept {
-  auto it = down_until_.find(name);
-  return it != down_until_.end() && loop_.now() < it->second;
+  auto it = boxes_.find(name);
+  return it != boxes_.end() && isDown(it->second);
 }
 
 void Simulator::crashBox(const CrashEvent& crash) {
-  auto it = boxes_.find(crash.box);
-  if (it == boxes_.end()) return;
-  Box& target = *it->second;
+  BoxEntry* entry = findBox(crash.box);
+  if (entry == nullptr) return;
   const SimTime up_at = loop_.now() + crash.down_for;
-  down_until_[crash.box] = up_at;
+  entry->down_until = up_at;
   if (fault_plan_ != nullptr) ++fault_plan_->counters().crashes;
   if (obs::MetricsRegistry* m = obs::metrics()) {
     m->counter("fault.crashes").add();
@@ -170,72 +211,81 @@ void Simulator::crashBox(const CrashEvent& crash) {
     ev.v0 = crash.down_for.count();
     rec->record(std::move(ev));
   }
-  loop_.scheduleAt(up_at, [this, &target, name = crash.box]() {
-    down_until_.erase(name);
+  // The entry outlives the outage: retireBox refuses a crashed box.
+  loop_.scheduleAt(up_at, [this, entry]() {
+    entry->down_until.reset();
+    Box& target = *entry->box;
     if (obs::TraceRecorder* rec = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::mark;
       ev.name = "restart";
-      ev.actor = name;
+      ev.actor = target.name();
       rec->record(std::move(ev));
     }
-    stimulate(target, [&target]() { target.crashRestart(); });
-    scheduleRefreshTick(name);
+    stimulate(*entry, [&target]() { target.crashRestart(); });
+    scheduleRefreshTick(*entry);
   });
 }
 
-void Simulator::scheduleRefreshTick(const std::string& name) {
-  if (fault_plan_ == nullptr) return;
-  bool& armed = refresh_armed_[name];
-  if (armed) return;
-  armed = true;
+void Simulator::scheduleRefreshTick(BoxEntry& entry) {
+  if (fault_plan_ == nullptr || entry.refresh_armed) return;
+  entry.refresh_armed = true;
   loop_.schedule(fault_plan_->spec().refresh_interval,
-                 [this, name]() { refreshTick(name); });
+                 [this, name = entry.box->name(), id = entry.box->id()]() {
+                   refreshTick(name, id);
+                 });
 }
 
-void Simulator::refreshTick(const std::string& name) {
-  refresh_armed_[name] = false;
+void Simulator::refreshTick(const std::string& name, BoxId id) {
+  BoxEntry* entry = findBox(name);
+  if (entry == nullptr || entry->box->id() != id) return;  // retired
+  entry->refresh_armed = false;
   if (fault_plan_ == nullptr) return;
-  auto it = boxes_.find(name);
-  if (it == boxes_.end()) return;
-  if (boxDown(name)) return;  // the restart handler re-arms
-  Box& target = *it->second;
+  if (isDown(*entry)) return;  // the restart handler re-arms
+  Box& target = *entry->box;
   if (target.needsRefresh()) {
-    stimulate(target, [&target]() { target.refreshGoals(); });
+    stimulate(*entry, [&target]() { target.refreshGoals(); });
   }
   // Keep ticking while faults may still hit this box; once injection is
   // over, stimulus completions re-arm the tick whenever a box is left
   // unconverged, so a converged path stops ticking and the loop can drain.
+  // A box retired before then simply drops its tick chain.
   if (fault_plan_->activeAt(loop_.now() + fault_plan_->spec().refresh_interval) ||
       target.needsRefresh()) {
-    scheduleRefreshTick(name);
+    scheduleRefreshTick(*entry);
   }
 }
 
-void Simulator::stimulate(Box& box, StimulusFn fn, obs::TraceContext cause) {
+void Simulator::stimulate(BoxEntry& entry, StimulusFn fn,
+                          obs::TraceContext cause) {
   // Serialize on the box: processing starts when the box frees up and takes
   // c; outputs appear at completion.
-  BoxClock& clock = box_clock_[box.name()];
-  SimTime& busy = clock.busy_until;
-  const SimTime start = loop_.now() < busy ? busy : loop_.now();
+  const SimTime start =
+      loop_.now() < entry.busy_until ? entry.busy_until : loop_.now();
   const SimTime done = start + timing_.processing;
-  busy = done;
+  entry.busy_until = done;
+  ++entry.stimuli_pending;
   if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter("sim.stimuli").add();
-    m->gauge("sim.queue_depth").set(static_cast<std::int64_t>(loop_.pending()));
-    const auto busy_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                             done - start)
-                             .count();
-    m->counter("sim.busy_us").add(static_cast<std::uint64_t>(busy_us));
-    m->counter(clock.busy_counter).add(static_cast<std::uint64_t>(busy_us));
+    MetricHandles& h = handlesFor(m);
+    cachedCounter(h.stimuli, *m, "sim.stimuli").add();
+    if (h.queue_depth == nullptr) h.queue_depth = &m->gauge("sim.queue_depth");
+    h.queue_depth->set(static_cast<std::int64_t>(loop_.pending()));
+    const auto busy_us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(done - start)
+            .count());
+    cachedCounter(h.busy_us, *m, "sim.busy_us").add(busy_us);
+    cachedCounter(entry.busy, *m, entry.busy_counter).add(busy_us);
   }
   const std::int64_t start_us =
       std::chrono::duration_cast<std::chrono::microseconds>(start.sinceStart())
           .count();
-  loop_.scheduleAt(done, [this, &box, start_us, cause,
+  // The pending count keeps the entry (and its box) alive until this runs.
+  loop_.scheduleAt(done, [this, &entry, start_us, cause,
                           fn = std::move(fn)]() mutable {
+    Box& box = *entry.box;
     // A stimulus queued before a crash dies with the box's volatile state.
-    if (boxDown(box.name())) {
+    if (isDown(entry)) {
+      --entry.stimuli_pending;
       if (fault_plan_ != nullptr) ++fault_plan_->counters().dead_box_drops;
       return;
     }
@@ -275,8 +325,9 @@ void Simulator::stimulate(Box& box, StimulusFn fn, obs::TraceContext cause) {
     // Liveness under faults: any stimulus that leaves the box unconverged
     // (a lost answer, a stale signal) re-arms its refresh tick.
     if (fault_plan_ != nullptr && box.needsRefresh()) {
-      scheduleRefreshTick(box.name());
+      scheduleRefreshTick(entry);
     }
+    --entry.stimuli_pending;
     if (!probes_.empty()) probes_.check(nowUs());
   });
 }
@@ -375,16 +426,17 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     meta.ctx = cause;  // in-band provenance, mirrors the net frame encoding
     loop_.schedule(timing_.sampleNetwork(rng_),
                    [this, to, channel_id, meta = std::move(meta)]() {
-                     auto cit = channels_.find(channel_id);
-                     if (cit == channels_.end()) return;
-                     if (boxDown(to)) {
+                     if (channels_.count(channel_id) == 0) return;
+                     BoxEntry* entry = findBox(to);
+                     if (entry == nullptr) return;  // retired
+                     if (isDown(*entry)) {
                        if (fault_plan_ != nullptr) {
                          ++fault_plan_->counters().dead_box_drops;
                        }
                        return;
                      }
-                     Box& target = box(to);
-                     stimulate(target, [&target, channel_id, meta]() {
+                     Box& target = *entry->box;
+                     stimulate(*entry, [&target, channel_id, meta]() {
                        target.deliverMeta(channel_id, meta);
                      }, meta.ctx);
                    });
@@ -393,21 +445,20 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
   for (auto& timer : out.timers) {
     // A timer continues the causal chain of the stimulus that armed it
     // (e.g. an openslot retry descends from the open that went unanswered).
-    loop_.schedule(timer.delay, [this, from, cause,
+    loop_.schedule(timer.delay, [this, from, id = sender.id(), cause,
                                  tag = std::move(timer.tag)]() {
-      auto it = boxes_.find(from);
-      if (it == boxes_.end()) return;
+      BoxEntry* entry = findBox(from);
+      if (entry == nullptr || entry->box->id() != id) return;  // retired
       // Timers are volatile: a crash forgets them (crashRestart re-arms
       // what its re-attached goals still need).
-      if (boxDown(from)) return;
-      Box& target = *it->second;
-      stimulate(target, [&target, tag]() { target.fireTimer(tag); }, cause);
+      if (isDown(*entry)) return;
+      Box& target = *entry->box;
+      stimulate(*entry, [&target, tag]() { target.fireTimer(tag); }, cause);
     });
   }
 
   for (auto& request : out.channelRequests) {
-    auto target_it = boxes_.find(request.target);
-    if (target_it == boxes_.end()) {
+    if (boxes_.count(request.target) == 0) {
       log::warn("sim", "channel request to unknown box ", request.target);
       continue;
     }
@@ -432,7 +483,9 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       auto cit = channels_.find(id);
       if (cit == channels_.end() || !cit->second.aliveA) return;
       ChannelRecord& r = cit->second;
-      Box& callee = box(r.boxB);
+      BoxEntry* entry = findBox(r.boxB);
+      if (entry == nullptr) return;  // retired before the setup arrived
+      Box& callee = *entry->box;
       r.slotsB = callee.addChannelEnd(id, r.tunnels, /*initiator=*/false, "", from);
       r.aliveB = true;
       for (std::uint32_t t = 0; t < r.tunnels; ++t) {
@@ -447,7 +500,7 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       if (!probes_.empty()) probes_.check(nowUs());
       // Drain hook outputs after processing cost; causally the callee's
       // reaction descends from the stimulus that requested the channel.
-      stimulate(callee, []() {}, cause);
+      stimulate(*entry, []() {}, cause);
     });
   }
 
@@ -466,8 +519,10 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       loop_.schedule(timing_.sampleNetwork(rng_), [this, id, to, cause]() {
         auto cit = channels_.find(id);
         if (cit == channels_.end()) return;
-        Box& target = box(to);
-        stimulate(target, [this, &target, id, to]() {
+        BoxEntry* entry = findBox(to);
+        if (entry == nullptr) return;  // retired
+        Box& target = *entry->box;
+        stimulate(*entry, [this, &target, id, to]() {
           target.deliverMeta(id, MetaSignal{MetaKind::teardown, "", ""});
           auto cit2 = channels_.find(id);
           if (cit2 != channels_.end()) {
@@ -500,7 +555,9 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
   if ((to_a && !rec.aliveA) || (!to_a && !rec.aliveB)) return;
   const auto& slots = to_a ? rec.slotsA : rec.slotsB;
   if (tunnel >= slots.size()) return;
-  if (boxDown(to_box)) {
+  BoxEntry* entry = findBox(to_box);
+  if (entry == nullptr) return;  // retired: the signal is lost
+  if (isDown(*entry)) {
     // The destination is crashed: the signal reaches a dead transport and
     // is lost, exactly like a drop fault.
     if (fault_plan_ != nullptr) ++fault_plan_->counters().dead_box_drops;
@@ -510,10 +567,13 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
     return;
   }
   const SlotId slot = slots[tunnel];
-  Box& target = box(to_box);
+  Box& target = *entry->box;
   ++signals_delivered_;
   if (obs::MetricsRegistry* m = obs::metrics()) {
-    m->counter(signalCounterName(kindOf(signal))).add();
+    const SignalKind kind = kindOf(signal);
+    cachedCounter(handlesFor(m).signals[static_cast<std::size_t>(kind)], *m,
+                  signalCounterName(kind))
+        .add();
   }
   if (obs::TraceRecorder* trace = obs::recorder()) {
     obs::TraceEvent ev;
@@ -534,7 +594,7 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
   if (onSignalDelivered) {
     onSignalDelivered(from_box, to_box, signal, loop_.now());
   }
-  stimulate(target, [&target, slot, signal = std::move(signal)]() {
+  stimulate(*entry, [&target, slot, signal = std::move(signal)]() {
     target.deliverTunnel(slot, signal);
   }, ctx);
 }

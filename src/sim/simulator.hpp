@@ -15,9 +15,11 @@
 // openslot retries through box timers.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -33,6 +35,8 @@
 namespace cmc::obs {
 class TraceRecorder;
 class MetricsRegistry;
+class Counter;
+class Gauge;
 class FlightRecorder;
 }  // namespace cmc::obs
 
@@ -58,6 +62,15 @@ class Simulator {
   [[nodiscard]] bool hasBox(const std::string& name) const noexcept {
     return boxes_.count(name) != 0;
   }
+
+  // Forget a finished box: destroy it and every piece of per-box simulator
+  // state, so a long run costs nothing for boxes whose work is over.
+  // Refused (returns false) for an unknown name and for a box that still
+  // has slots or goals, is crashed awaiting restart, or has a stimulus
+  // queued or in flight — anything that could still reach the box object.
+  // Refresh ticks, timers and meta-signals still pending for a retired box
+  // become no-ops; the name may be registered again afterwards.
+  bool retireBox(const std::string& name);
 
   // Statically connect two boxes with a signaling channel of `tunnels`
   // tunnels (both ends exist immediately; `a` is the initiator side).
@@ -145,6 +158,38 @@ class Simulator {
       onSignalDelivered;
 
  private:
+  // Everything the simulator keeps per box, so retiring a box is one erase
+  // and routing a stimulus to a box is one name lookup. Map nodes are
+  // stable: scheduled closures may hold a BoxEntry& for as long as
+  // retireBox refuses the box (a stimulus pending, a crash outage).
+  struct BoxEntry {
+    std::unique_ptr<Box> box;
+    // Serial-server clock: when the box finishes its queued stimuli.
+    SimTime busy_until;
+    // Pre-composed busy-time counter name, and its handle in the registry
+    // the simulator's handles are cached for (see MetricHandles).
+    std::string busy_counter;
+    obs::Counter* busy = nullptr;
+    // Set by a crash, cleared by the restart handler.
+    std::optional<SimTime> down_until;
+    std::uint32_t stimuli_pending = 0;  // queued or in flight
+    bool refresh_armed = false;         // one refresh tick pending
+  };
+
+  // Hot-path metric handles for one registry (with BoxEntry::busy). Each is
+  // resolved on first use, so the registry only ever holds metrics that
+  // were actually written; all are dropped when the installed registry
+  // changes. MetricsRegistry references stay valid for the registry's
+  // lifetime, and a registry must outlive the simulator runs it is
+  // installed for.
+  struct MetricHandles {
+    obs::MetricsRegistry* registry = nullptr;
+    obs::Counter* stimuli = nullptr;
+    obs::Counter* busy_us = nullptr;
+    obs::Gauge* queue_depth = nullptr;
+    std::array<obs::Counter*, 6> signals{};  // by SignalKind
+  };
+
   struct ChannelRecord {
     ChannelId id;
     std::uint32_t tunnels = 1;
@@ -157,6 +202,13 @@ class Simulator {
   };
 
   void registerBox(std::unique_ptr<Box> box);
+  [[nodiscard]] BoxEntry* findBox(const std::string& name) noexcept;
+  [[nodiscard]] bool isDown(const BoxEntry& entry) const noexcept {
+    return entry.down_until && loop_.now() < *entry.down_until;
+  }
+  // The handles cached for `m`, dropped first if they belong to another
+  // registry.
+  [[nodiscard]] MetricHandles& handlesFor(obs::MetricsRegistry* m) noexcept;
   // A stimulus body. Inline capacity covers the hot case (a Signal plus a
   // slot and box reference) so queuing a stimulus allocates nothing; bigger
   // closures from cold paths spill to the heap inside InlineFn.
@@ -166,15 +218,16 @@ class Simulator {
   // (the context stamped on the signal/timer that triggered this stimulus);
   // empty for roots — user injections, refresh ticks, restarts — which
   // start a fresh trace when propagation is enabled.
-  void stimulate(Box& box, StimulusFn fn, obs::TraceContext cause = {});
+  void stimulate(BoxEntry& entry, StimulusFn fn, obs::TraceContext cause = {});
   // Execute a scheduled CrashEvent: mark the box down, drop its queued
   // stimuli, and schedule the restart (Box::crashRestart) at the end of
   // the outage.
   void crashBox(const CrashEvent& crash);
-  // Arm (if not already armed) one refresh tick for `name`, firing
-  // refresh_interval from now.
-  void scheduleRefreshTick(const std::string& name);
-  void refreshTick(const std::string& name);
+  // Arm (if not already armed) one refresh tick for the box, firing
+  // refresh_interval from now. The tick names the box by name and id, so a
+  // tick outliving its box (retired, maybe re-registered) does nothing.
+  void scheduleRefreshTick(BoxEntry& entry);
+  void refreshTick(const std::string& name, BoxId id);
   void drain(Box& box);
   void processOutput(Box& box, Box::Output&& out);
   // Deliver a tunnel signal scheduled by processOutput. The in-flight event
@@ -200,23 +253,15 @@ class Simulator {
   Rng rng_;
   std::uint64_t next_box_id_ = 1;
   std::uint64_t next_channel_id_ = 1;
-  std::map<std::string, std::unique_ptr<Box>> boxes_;
+  std::map<std::string, BoxEntry> boxes_;
   std::map<ChannelId, ChannelRecord> channels_;
   // (box id, slot) -> route, maintained as ends come and go. Keyed by the
   // numeric box id so hot-path lookups build no string key.
   std::map<std::pair<std::uint64_t, SlotId>, Route> routes_;
-  // Per-box serial-server clock plus the box's pre-composed busy-time
-  // counter name (so charging busy time never concatenates strings).
-  struct BoxClock {
-    SimTime busy_until;
-    std::string busy_counter;
-  };
-  std::map<std::string, BoxClock> box_clock_;
+  MetricHandles handles_;
   std::uint64_t signals_delivered_ = 0;
   obs::ConvergenceProbes probes_;
   FaultPlan* fault_plan_ = nullptr;  // not owned
-  std::map<std::string, SimTime> down_until_;  // crashed boxes
-  std::map<std::string, bool> refresh_armed_;  // tick pending per box
   // Globals this simulator installed, cleared on destruction so a stale
   // pointer never outlives the run that owns it.
   obs::TraceRecorder* attached_trace_ = nullptr;

@@ -4,7 +4,8 @@
 //     identical additive metrics rollup at 1 and 8 shards, clean and under
 //     faults;
 //   * churn hygiene — every call's teardown leaves its boxes with zero
-//     slots and zero goals;
+//     slots and zero goals, and a finished call leaves no work behind, so
+//     events per call stay flat as the call count grows;
 //   * fault isolation — per-call fault plans never bleed across calls: a
 //     clean call behaves byte-identically whether or not faulty calls share
 //     its shard;
@@ -175,6 +176,44 @@ TEST(RollupPins, FaultyEightShardRunMatchesRecordedDigest) {
       rollupDigest(smallWorkload(42, /*fault_fraction=*/0.3), 8, &bytes);
   EXPECT_EQ(bytes, 5420u);
   EXPECT_EQ(digest, 0xb473ccab00fc03a0ULL);
+}
+
+TEST(RollupPins, FaultyTwoThousandCallRunMatchesRecordedDigest) {
+  // Large enough that most calls are long finished while later ones still
+  // run, so it pins the rollup across how a shard disposes of finished
+  // calls. Recorded before shards retired finished calls' boxes: retiring
+  // them must not move a single counter or bucket.
+  WorkloadSpec workload = smallWorkload(42, /*fault_fraction=*/0.3);
+  workload.calls = 2000;
+  workload.arrivals_per_s = 200.0;
+  std::size_t bytes = 0;
+  const std::uint64_t digest = rollupDigest(workload, 1, &bytes);
+  EXPECT_EQ(bytes, 159953u);
+  EXPECT_EQ(digest, 0x7591b73bdd139934ULL);
+}
+
+// Events per call must not grow with the number of calls that came before:
+// a finished call may not leave work behind in its shard. Event counts are
+// deterministic, so this is a hard gate, not a timing heuristic.
+std::uint64_t eventsExecuted(std::size_t calls) {
+  WorkloadSpec workload = smallWorkload(7, /*fault_fraction=*/0.3);
+  workload.calls = calls;
+  workload.arrivals_per_s = 200.0;
+  LoadConfig config;
+  config.shards = 1;
+  ShardedRuntime runtime(config);
+  runtime.run(workload);
+  EXPECT_EQ(runtime.convergedCount(), calls);
+  EXPECT_EQ(runtime.cleanTeardownCount(), calls);
+  return runtime.shardStats().at(0).events_executed;
+}
+
+TEST(Churn, EventsPerCallStayFlatAsCallCountGrows) {
+  const double small = static_cast<double>(eventsExecuted(500)) / 500.0;
+  const double large = static_cast<double>(eventsExecuted(2000)) / 2000.0;
+  EXPECT_LE(large, 1.25 * small)
+      << "events/call " << small << " at 500 calls vs " << large
+      << " at 2000 calls";
 }
 
 TEST(Churn, TeardownLeavesNoLeakedSlotsOrGoals) {

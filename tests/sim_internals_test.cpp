@@ -1,9 +1,11 @@
 // Tests for simulator internals: serial-server queueing (the paper's boxes
 // process one stimulus at a time at cost c), network jitter, the delivery
-// hook, and injection ordering.
+// hook, injection ordering, and box retirement.
 #include <gtest/gtest.h>
 
 #include "endpoints/user_device.hpp"
+#include "obs/metrics.hpp"
+#include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 
 namespace cmc {
@@ -112,6 +114,134 @@ TEST(SimInternals, DuplicateBoxNameThrows) {
 TEST(SimInternals, UnknownBoxLookupThrows) {
   Simulator sim;
   EXPECT_THROW(sim.box("ghost"), std::logic_error);
+}
+
+// A bare box whose timers and channel teardowns a test can trigger, and
+// whose timer firings land in a counter that outlives the box.
+class ProbeBox : public Box {
+ public:
+  ProbeBox(BoxId id, std::string name, int* timers_fired)
+      : Box(id, std::move(name)), timers_fired_(timers_fired) {}
+  void armTimer(SimDuration delay) { setTimer(delay, "probe"); }
+  void destroy(ChannelId channel) { destroyChannel(channel); }
+
+ protected:
+  void onTimer(const std::string&) override { ++*timers_fired_; }
+
+ private:
+  int* timers_fired_;
+};
+
+TEST(SimInternals, RetireBoxRefusesABoxStillInUse) {
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  auto& a = sim.addBox<Box>("a");
+  sim.addBox<Box>("b");
+  const ChannelId ch = sim.connect("a", "b");
+  EXPECT_FALSE(sim.retireBox("a")) << "box with slots";
+  a.setGoal(a.slotsOf(ch).at(0), CloseSlotGoal{});
+  EXPECT_FALSE(sim.retireBox("a")) << "box with slots and goals";
+
+  sim.addBox<Box>("q");
+  sim.inject("q", [](Box&) {});
+  EXPECT_FALSE(sim.retireBox("q")) << "stimulus queued";
+  sim.runFor(1_ms);  // the injection has started; it completes at c = 20 ms
+  EXPECT_FALSE(sim.retireBox("q")) << "stimulus in flight";
+  sim.runFor(1_s);
+  EXPECT_TRUE(sim.retireBox("q"));
+  EXPECT_FALSE(sim.hasBox("q"));
+  EXPECT_FALSE(sim.retireBox("q")) << "already retired";
+  EXPECT_TRUE(sim.hasBox("a"));
+}
+
+TEST(SimInternals, RetireBoxRefusesACrashedBox) {
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  sim.addBox<Box>("c");
+  FaultSpec spec;
+  spec.active_for = 1_s;
+  FaultPlan plan(3, spec);
+  plan.addCrash(CrashEvent{"c", SimTime{} + 100_ms, 500_ms});
+  sim.installFaultPlan(&plan);
+  sim.runFor(200_ms);
+  ASSERT_TRUE(sim.boxDown("c"));
+  EXPECT_FALSE(sim.retireBox("c"));
+  sim.runFor(600_ms);  // restarted at 600 ms; the restart stimulus is done
+  EXPECT_FALSE(sim.boxDown("c"));
+  EXPECT_TRUE(sim.retireBox("c"));
+  EXPECT_TRUE(sim.run());
+}
+
+TEST(SimInternals, PendingTimerAndTeardownForARetiredBoxAreNoOps) {
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  int fired = 0;
+  sim.addBox<ProbeBox>("t", &fired);
+  sim.inject("t", [](Box& b) { static_cast<ProbeBox&>(b).armTimer(100_ms); });
+  sim.runFor(50_ms);  // the timer is armed and pending
+  ASSERT_TRUE(sim.retireBox("t"));
+  // A box registered under the same name is a different box: the stale
+  // timer must not fire on it either.
+  int fired_again = 0;
+  sim.addBox<ProbeBox>("t", &fired_again);
+
+  // A teardown meta in flight toward a box that has already let go of its
+  // channel end and been retired.
+  sim.addBox<ProbeBox>("a", &fired);
+  sim.addBox<ProbeBox>("b", &fired);
+  const ChannelId ch = sim.connect("a", "b");
+  sim.box("b").removeChannel(ch);
+  ASSERT_TRUE(sim.retireBox("b"));
+  sim.inject("a", [ch](Box& b) { static_cast<ProbeBox&>(b).destroy(ch); });
+
+  EXPECT_TRUE(sim.run());
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(fired_again, 0);
+  EXPECT_FALSE(sim.hasBox("b"));
+  EXPECT_EQ(sim.box("a").slotCount(), 0u);
+}
+
+TEST(SimInternals, ReRegisteredNameGetsAFreshRefreshTickChain) {
+  // Ticks every 300 ms while faults may still be injected (first second).
+  FaultSpec spec;
+  spec.active_for = 1_s;
+  spec.refresh_interval = 300_ms;
+  FaultPlan plan(5, spec);
+
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  sim.addBox<Box>("r");
+  sim.installFaultPlan(&plan);  // first tick pending at 300 ms
+  sim.runFor(100_ms);
+  ASSERT_TRUE(sim.retireBox("r"));
+  sim.addBox<Box>("r");  // a fresh chain: ticks at 400 and 700 ms
+  const std::uint64_t before = sim.loop().executed();
+  EXPECT_TRUE(sim.run());
+  // The retired box's stale tick at 300 ms runs as a no-op and leaves the
+  // new box's chain alone; the new box ticks exactly twice (the 700 ms tick
+  // sees the fault window closed by 1000 ms and does not re-arm).
+  EXPECT_EQ(sim.loop().executed() - before, 3u);
+}
+
+TEST(SimInternals, MetricHandlesFollowTheInstalledRegistry) {
+  // The simulator caches its hot-path metric handles; switching registries
+  // mid-run must send later writes to the new registry, not the old one.
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  sim.addBox<Box>("m");
+  obs::MetricsRegistry first;
+  obs::MetricsRegistry second;
+  sim.attachMetrics(&first);
+  sim.inject("m", [](Box&) {});
+  sim.runFor(1_s);
+  sim.attachMetrics(&second);
+  sim.inject("m", [](Box&) {});
+  sim.inject("m", [](Box&) {});
+  sim.runFor(1_s);
+  sim.attachMetrics(nullptr);
+  for (auto [registry, stimuli] :
+       {std::pair{&first, 1u}, std::pair{&second, 2u}}) {
+    ASSERT_NE(registry->findCounter("sim.stimuli"), nullptr);
+    EXPECT_EQ(registry->findCounter("sim.stimuli")->value(), stimuli);
+    ASSERT_NE(registry->findCounter("sim.box_busy_us.m"), nullptr);
+    EXPECT_EQ(registry->findCounter("sim.box_busy_us.m")->value(),
+              stimuli * 20'000u);
+  }
 }
 
 }  // namespace

@@ -54,9 +54,11 @@ TEST(TraceContextTest, EverySpanStampedAndLinkedUnderPropagation) {
   rec.setPropagation(true);
   runCall(/*seed=*/5, rec);
 
+  // The pointers below point into this snapshot, so it must outlive them.
+  const std::vector<obs::TraceEvent> events = rec.snapshot();
   std::map<std::uint64_t, const obs::TraceEvent*> span_of;
   std::vector<const obs::TraceEvent*> spans;
-  for (const obs::TraceEvent& ev : rec.snapshot()) {
+  for (const obs::TraceEvent& ev : events) {
     if (ev.kind != obs::EventKind::boxSpan) continue;
     EXPECT_NE(ev.trace_id, 0u);
     EXPECT_NE(ev.span_id, 0u);
