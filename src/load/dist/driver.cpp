@@ -538,12 +538,10 @@ struct DistDriver::Impl {
     // ------------------------------------------------------------- merge
     // Rank order, success or not: on failure the partial artifacts plus
     // per-rank attribution are the post-mortem.
-    obs::MetricsRegistry merged_registry;
-    obs::MetricsSnapshot merged_snapshot;
+    obs::MetricsSnapshot merged;
     for (std::size_t rank = 0; rank < config.workers; ++rank) {
       if (!have_rollup[rank]) continue;
-      rollups[rank].rollup.applyTo(merged_registry);
-      merged_snapshot.mergeFrom(rollups[rank].rollup);
+      merged.mergeFrom(rollups[rank].rollup);
       result.signals_delivered += rollups[rank].signals_delivered;
       for (const DistOutcome& outcome : rollups[rank].outcomes) {
         result.outcomes.push_back(outcome);
@@ -553,13 +551,13 @@ struct DistDriver::Impl {
               [](const DistOutcome& a, const DistOutcome& b) {
                 return a.id < b.id;
               });
-    result.rollup_json = merged_registry.json();
+    result.rollup_json = merged.rollupJson();
     result.outcome_digest = digestOutcomes(result.outcomes);
     for (const DistOutcome& outcome : result.outcomes) {
       if (outcome.converged) ++result.converged;
       if (outcome.clean_teardown) ++result.clean_teardowns;
     }
-    if (const auto* h = merged_snapshot.histogram("load.call_setup_us")) {
+    if (const auto* h = merged.histogram("load.call_setup_us")) {
       result.setup_p50_us = h->quantile(0.50);
       result.setup_p99_us = h->quantile(0.99);
     }

@@ -77,7 +77,7 @@ struct DistResult {
   std::string error;  // first fatal failure, with rank attribution
   // Merged artifacts (partial on failure: whatever rollups landed).
   std::vector<DistOutcome> outcomes;  // sorted by call id
-  std::string rollup_json;            // merged registry, MetricsRegistry::json
+  std::string rollup_json;            // merged snapshot, rollupJson()
   std::uint64_t outcome_digest = 0;   // digestOutcomes over sorted outcomes
   std::size_t converged = 0;
   std::size_t clean_teardowns = 0;

@@ -37,10 +37,10 @@ LiveTelemetry::LiveTelemetry(Config config)
         obs::FlightRecorder::Config{config_.flight_dir, "slo", 16});
   }
   watchdog_.setOnBreach([this](const obs::SloStatus& status) {
-    // Sampler thread, hub lock held: dump only hub-owned state. The merged
-    // registry for this tick was rebuilt just before evaluate() ran.
-    if (flight_ != nullptr && live_merged_ != nullptr) {
-      flight_->setMetrics(live_merged_.get());
+    // Sampler thread, hub lock held: dump only hub-owned state. This tick's
+    // merged snapshot was pushed just before evaluate() ran.
+    if (flight_ != nullptr && series_.latest() != nullptr) {
+      flight_->setMetrics(*series_.latest());
       flight_->dump("slo_breach:" + status.rule);
     }
   });
@@ -153,10 +153,6 @@ void LiveTelemetry::sampleOnce(bool final_tick) {
       merged.mergeFrom(shot);
       shard_series_[i].push(std::move(shot));
     }
-    auto rebuilt = std::make_unique<obs::MetricsRegistry>();
-    merged.applyTo(*rebuilt);
-    live_merged_ = std::move(rebuilt);
-
     series_.push(std::move(merged));
     const obs::MetricsDelta* window = series_.latestWindow();
     if (window != nullptr) watchdog_.evaluate(*window);
@@ -304,10 +300,10 @@ void LiveTelemetry::registerVerbs() {
     if (flight_ == nullptr) {
       throw std::runtime_error("no flight recorder configured");
     }
-    if (live_merged_ == nullptr) {
+    if (series_.latest() == nullptr) {
       throw std::runtime_error("no sample captured yet");
     }
-    flight_->setMetrics(live_merged_.get());
+    flight_->setMetrics(*series_.latest());
     const std::string path =
         flight_->dump(args.empty() ? "ops_request" : "ops:" + args);
     if (path.empty()) throw std::runtime_error("dump failed (budget or io)");

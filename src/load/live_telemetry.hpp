@@ -25,9 +25,9 @@
 //                              run was not profiled)
 //
 // On an SLO breach-entry the hub flips health to degraded and dumps its own
-// flight recorder (prefix "slo", fed from a hub-owned registry rebuilt via
-// MetricsSnapshot::applyTo) — never the shard-owned recorders, which are
-// not safe to touch from this thread. The run keeps going.
+// flight recorder (prefix "slo", fed the latest merged fleet snapshot) —
+// never the shard-owned recorders, which are not safe to touch from this
+// thread. The run keeps going.
 #pragma once
 
 #include <chrono>
@@ -135,9 +135,6 @@ class LiveTelemetry {
   std::vector<obs::SnapshotSeries> shard_series_;
   obs::SnapshotSeries series_;  // merged fleet view
   obs::SloWatchdog watchdog_;
-  // Fresh registry per tick (applyTo is additive, registries have no
-  // clear()); flight dumps read the latest one.
-  std::unique_ptr<obs::MetricsRegistry> live_merged_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::uint64_t ticks_ = 0;
 

@@ -4,30 +4,9 @@
 #include <cstdio>
 #include <map>
 
+#include "obs/json.hpp"
+
 namespace cmc::obs {
-
-namespace {
-
-void appendEscapedJson(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 CriticalPathReport criticalPath(const std::vector<TraceEvent>& events,
                                 const CriticalPathOptions& opts) {
@@ -150,7 +129,7 @@ std::string CriticalPathReport::json() const {
     const CriticalPathHop& hop = hops[i];
     if (i != 0) out += ',';
     out += "{\"box\":\"";
-    appendEscapedJson(out, hop.box);
+    appendJsonEscaped(out, hop.box);
     std::snprintf(buf, sizeof(buf),
                   "\",\"span\":%llu,\"parent\":%llu,\"start_us\":%lld,"
                   "\"proc_us\":%lld,\"transit_us\":%lld,\"queue_us\":%lld}",

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "obs/critical_path.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probes.hpp"
 #include "obs/trace.hpp"
@@ -29,25 +30,6 @@ std::string slugify(std::string_view reason) {
   return slug.empty() ? std::string("unspecified") : slug;
 }
 
-void appendEscapedJson(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder() : FlightRecorder(Config{}) {}
@@ -62,6 +44,11 @@ void FlightRecorder::setTrace(TraceRecorder* trace) noexcept {
 void FlightRecorder::setMetrics(MetricsRegistry* metrics) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
   metrics_ = metrics;
+}
+
+void FlightRecorder::setMetrics(MetricsSnapshot snapshot) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  snapshot_ = std::move(snapshot);
 }
 
 void FlightRecorder::setProbes(const ConvergenceProbes* probes) noexcept {
@@ -81,7 +68,7 @@ std::string FlightRecorder::dump(std::string_view reason) {
   const std::uint64_t seq = dumps_++;
 
   std::string body = "{\"reason\":\"";
-  appendEscapedJson(body, reason);
+  appendJsonEscaped(body, reason);
   char buf[64];
   std::snprintf(buf, sizeof(buf), "\",\"seq\":%llu",
                 static_cast<unsigned long long>(seq));
@@ -108,9 +95,9 @@ std::string FlightRecorder::dump(std::string_view reason) {
     body += ",\"probes\":";
     body += probes_->json();
   }
-  if (metrics_ != nullptr) {
+  if (metrics_ != nullptr || snapshot_) {
     body += ",\"metrics\":";
-    body += metrics_->json();
+    body += metrics_ != nullptr ? metrics_->json() : snapshot_->rollupJson();
   }
   if (profile_source_) {
     const std::string profile = profile_source_();

@@ -24,13 +24,15 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+
+#include "obs/snapshot.hpp"
 
 namespace cmc::obs {
 
 class TraceRecorder;
-class MetricsRegistry;
 class ConvergenceProbes;
 
 class FlightRecorder {
@@ -49,6 +51,10 @@ class FlightRecorder {
   // omitted from the dump). Simulator::attachFlightRecorder does this.
   void setTrace(TraceRecorder* trace) noexcept;
   void setMetrics(MetricsRegistry* metrics) noexcept;
+  // A fixed metrics view dumped in place of a live registry (the live
+  // telemetry hub's latest merged fleet snapshot); a registry set with
+  // setMetrics() takes precedence.
+  void setMetrics(MetricsSnapshot snapshot);
   void setProbes(const ConvergenceProbes* probes) noexcept;
   // Optional profile section: a callback returning ProfileReport JSON,
   // invoked at dump time (a callback rather than a table pointer, so the
@@ -71,6 +77,7 @@ class FlightRecorder {
   Config config_;
   TraceRecorder* trace_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
+  std::optional<MetricsSnapshot> snapshot_;
   const ConvergenceProbes* probes_ = nullptr;
   std::function<std::string()> profile_source_;
   std::uint64_t dumps_ = 0;

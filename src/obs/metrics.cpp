@@ -1,8 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace cmc::obs {
 
@@ -10,14 +13,6 @@ namespace {
 
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
 thread_local MetricsRegistry* t_metrics = nullptr;
-
-// Bucket index: 0 holds value 0, i holds [2^(i-1), 2^i).
-std::size_t bucketOf(std::int64_t value) noexcept {
-  if (value <= 0) return 0;
-  const int bits = 64 - __builtin_clzll(static_cast<unsigned long long>(value));
-  return std::min<std::size_t>(static_cast<std::size_t>(bits),
-                               Histogram::kBuckets - 1);
-}
 
 void raiseMax(std::atomic<std::int64_t>& slot, std::int64_t value) noexcept {
   std::int64_t seen = slot.load(std::memory_order_relaxed);
@@ -40,7 +35,8 @@ void Histogram::observe(std::int64_t value) noexcept {
   sum_.fetch_add(value, std::memory_order_relaxed);
   lowerMin(min_, value);
   raiseMax(max_, value);
-  buckets_[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+  buckets_[HistogramSample::bucketOf(value)].fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 void Histogram::mergeFrom(const Histogram& other) noexcept {
@@ -57,59 +53,116 @@ void Histogram::mergeFrom(const Histogram& other) noexcept {
   }
 }
 
-void Histogram::accumulate(
-    std::uint64_t count, std::int64_t sum, std::int64_t min, std::int64_t max,
-    const std::array<std::uint64_t, kBuckets>& buckets) noexcept {
-  if (count == 0) return;
-  count_.fetch_add(count, std::memory_order_relaxed);
-  sum_.fetch_add(sum, std::memory_order_relaxed);
-  if (min <= max) {
-    lowerMin(min_, min);
-    raiseMax(max_, max);
-  }
+HistogramSample Histogram::sample() const noexcept {
+  HistogramSample s;
+  s.count = count_.load(std::memory_order_relaxed);
+  s.sum = sum_.load(std::memory_order_relaxed);
+  const std::int64_t lo = min_.load(std::memory_order_relaxed);
+  const std::int64_t hi = max_.load(std::memory_order_relaxed);
+  s.min = lo == std::numeric_limits<std::int64_t>::max() ? 0 : lo;
+  s.max = hi == std::numeric_limits<std::int64_t>::min() ? 0 : hi;
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    if (buckets[i] != 0) buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+    s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   }
+  return s;
 }
 
-std::int64_t Histogram::min() const noexcept {
-  const std::int64_t v = min_.load(std::memory_order_relaxed);
-  return v == std::numeric_limits<std::int64_t>::max() ? 0 : v;
+double HistogramSample::bucketLo(std::size_t i) noexcept {
+  return i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i) - 1);
 }
 
-std::int64_t Histogram::max() const noexcept {
-  const std::int64_t v = max_.load(std::memory_order_relaxed);
-  return v == std::numeric_limits<std::int64_t>::min() ? 0 : v;
+double HistogramSample::bucketHi(std::size_t i) noexcept {
+  return i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i));
 }
 
-double Histogram::mean() const noexcept {
-  const std::uint64_t n = count();
-  return n > 0 ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
+double HistogramSample::mean() const noexcept {
+  return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
+                   : 0.0;
 }
 
-double Histogram::quantile(double q) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
+double HistogramSample::quantile(double q) const noexcept {
+  if (count == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(n);
+  const double target = q * static_cast<double>(count);
   double cumulative = 0;
   for (std::size_t i = 0; i < kBuckets; ++i) {
-    const double in_bucket =
-        static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
+    const double in_bucket = static_cast<double>(buckets[i]);
     if (in_bucket == 0) continue;
     if (cumulative + in_bucket >= target) {
-      const double lo = i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i) - 1);
-      const double hi = i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i));
-      const double frac =
-          in_bucket > 0 ? (target - cumulative) / in_bucket : 0.0;
-      const double estimate = lo + (hi - lo) * frac;
-      return std::clamp(estimate, static_cast<double>(min()),
-                        static_cast<double>(max()));
+      const double frac = (target - cumulative) / in_bucket;
+      const double estimate = bucketLo(i) + (bucketHi(i) - bucketLo(i)) * frac;
+      if (min <= max) {
+        return std::clamp(estimate, static_cast<double>(min),
+                          static_cast<double>(max));
+      }
+      return estimate;
     }
     cumulative += in_bucket;
   }
-  return static_cast<double>(max());
+  return static_cast<double>(max);
 }
+
+void HistogramSample::mergeFrom(const HistogramSample& other) noexcept {
+  if (other.count == 0) return;
+  min = count == 0 ? other.min : std::min(min, other.min);
+  max = count == 0 ? other.max : std::max(max, other.max);
+  count += other.count;
+  sum += other.sum;
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
+}
+
+void HistogramSample::appendJson(std::string& out) const {
+  char buf[224];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"count\":%llu,\"sum\":%lld,\"min\":%lld,\"max\":%lld,"
+      "\"mean\":%.1f,\"p50\":%.1f,\"p90\":%.1f,\"p99\":%.1f}",
+      static_cast<unsigned long long>(count), static_cast<long long>(sum),
+      static_cast<long long>(min), static_cast<long long>(max), mean(),
+      quantile(0.50), quantile(0.90), quantile(0.99));
+  out += buf;
+}
+
+void MetricsJsonWriter::enter(int section) {
+  static constexpr const char* kOpen[] = {
+      "\"counters\":{", "},\"gauges\":{", "},\"histograms\":{", "}"};
+  while (section_ < section) {
+    out_ += kOpen[++section_];
+    first_ = true;
+  }
+}
+
+void MetricsJsonWriter::key(int section, std::string_view name) {
+  enter(section);
+  if (!first_) out_ += ',';
+  first_ = false;
+  out_ += '"';
+  appendJsonEscaped(out_, name);
+  out_ += "\":";
+}
+
+void MetricsJsonWriter::counter(std::string_view name, std::uint64_t value) {
+  key(0, name);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void MetricsJsonWriter::gauge(std::string_view name, const GaugeSample& gauge) {
+  key(1, name);
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "{\"value\":%lld,\"max\":%lld}",
+                static_cast<long long>(gauge.value),
+                static_cast<long long>(gauge.max));
+  out_ += buf;
+}
+
+void MetricsJsonWriter::histogram(std::string_view name,
+                                  const HistogramSample& histogram) {
+  key(2, name);
+  histogram.appendJson(out_);
+}
+
+void MetricsJsonWriter::finish() { enter(3); }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -158,47 +211,20 @@ const Histogram* MetricsRegistry::findHistogram(std::string_view name) const {
 }
 
 std::string MetricsRegistry::json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\"counters\":{";
-  char buf[192];
-  bool first = true;
-  auto key = [&](const std::string& name) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += name;
-    out += "\":";
-  };
-  for (const auto& [name, c] : counters_) {
-    key(name);
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(c->value()));
-    out += buf;
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    key(name);
-    std::snprintf(buf, sizeof(buf), "{\"value\":%lld,\"max\":%lld}",
-                  static_cast<long long>(g->value()),
-                  static_cast<long long>(g->max()));
-    out += buf;
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    key(name);
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"count\":%llu,\"sum\":%lld,\"min\":%lld,\"max\":%lld,"
-        "\"mean\":%.1f,\"p50\":%.1f,\"p90\":%.1f,\"p99\":%.1f}",
-        static_cast<unsigned long long>(h->count()),
-        static_cast<long long>(h->sum()), static_cast<long long>(h->min()),
-        static_cast<long long>(h->max()), h->mean(), h->quantile(0.50),
-        h->quantile(0.90), h->quantile(0.99));
-    out += buf;
-  }
-  out += "}}";
+  std::string out = "{";
+  MetricsJsonWriter writer(out);
+  visit(
+      [&](const std::string& name, const Counter& c) {
+        writer.counter(name, c.value());
+      },
+      [&](const std::string& name, const Gauge& g) {
+        writer.gauge(name, GaugeSample{g.value(), g.max()});
+      },
+      [&](const std::string& name, const Histogram& h) {
+        writer.histogram(name, h.sample());
+      });
+  writer.finish();
+  out += '}';
   return out;
 }
 

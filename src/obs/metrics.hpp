@@ -8,12 +8,13 @@
 // load (`obs::metrics()`) and skip on nullptr.
 //
 // Histograms use base-2 exponential buckets over non-negative integer
-// observations (we feed them latencies in microseconds): bucket i counts
-// values in [2^(i-1), 2^i), bucket 0 counts zero. Quantiles are estimated
-// by linear interpolation within the winning bucket — coarse, but stable
-// and allocation-free.
+// observations (we feed them latencies in microseconds). HistogramSample is
+// the one place that knows the bucket layout and everything derived from
+// it — bucket index and bounds, mean, interpolated quantiles, merge, and the
+// histogram JSON; a live Histogram is only the atomic store behind it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -78,40 +79,68 @@ class Gauge {
   std::atomic<std::int64_t> max_{std::numeric_limits<std::int64_t>::min()};
 };
 
+struct GaugeSample {
+  std::int64_t value = 0;
+  std::int64_t max = 0;
+};
+
+// Pre-aggregated histogram state: enough to merge, diff, estimate
+// quantiles and render. Bucket 0 counts values <= 0, bucket i counts
+// [2^(i-1), 2^i), and the last bucket also takes everything above.
+struct HistogramSample {
+  static constexpr std::size_t kBuckets = 64;
+
+  std::uint64_t count = 0;
+  std::int64_t sum = 0;
+  std::int64_t min = 0;  // 0 when empty
+  std::int64_t max = 0;
+  std::array<std::uint64_t, kBuckets> buckets{};
+
+  [[nodiscard]] static std::size_t bucketOf(std::int64_t value) noexcept {
+    if (value <= 0) return 0;
+    const int bits =
+        64 - __builtin_clzll(static_cast<unsigned long long>(value));
+    return std::min<std::size_t>(static_cast<std::size_t>(bits),
+                                 kBuckets - 1);
+  }
+  // Interpolation bounds of bucket i: [lo, hi), both 0 for bucket 0.
+  [[nodiscard]] static double bucketLo(std::size_t i) noexcept;
+  [[nodiscard]] static double bucketHi(std::size_t i) noexcept;
+
+  [[nodiscard]] double mean() const noexcept;
+  // Quantile estimate in [0,1] by linear interpolation within the winning
+  // bucket — coarse, but stable and allocation-free — clamped to
+  // [min, max] when those are known.
+  [[nodiscard]] double quantile(double q) const noexcept;
+  // Fold `other` in: counts, sums and buckets add, min/max widen. Exact
+  // for everything but the interpolated quantiles.
+  void mergeFrom(const HistogramSample& other) noexcept;
+  // {"count":..,"sum":..,"min":..,"max":..,"mean":..,"p50":..,"p90":..,"p99":..}
+  void appendJson(std::string& out) const;
+};
+
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 64;
+  static constexpr std::size_t kBuckets = HistogramSample::kBuckets;
 
   void observe(std::int64_t value) noexcept;
 
-  // Fold `other`'s observations into this histogram (bucket-wise sums plus
-  // count/sum/min/max). Exact for everything but the interpolated
-  // quantiles, which stay as coarse as single-registry estimates. Used by
-  // sharded runtimes to roll per-shard latency histograms into one view.
+  // Fold `other`'s observations into this histogram. Used by sharded
+  // runtimes to roll per-shard latency histograms into one view.
   void mergeFrom(const Histogram& other) noexcept;
 
-  // Fold pre-aggregated state (a MetricsSnapshot sample, a remote shard's
-  // exported buckets) into this histogram. The no-observation sentinel
-  // convention matches min()/max(): pass min > max to say "no min/max
-  // information" and only count/sum/buckets are folded in.
-  void accumulate(std::uint64_t count, std::int64_t sum, std::int64_t min,
-                  std::int64_t max,
-                  const std::array<std::uint64_t, kBuckets>& buckets) noexcept;
+  // Read the live store with relaxed loads (safe while writers run).
+  [[nodiscard]] HistogramSample sample() const noexcept;
 
+  // One-off reads; all but count() go through sample().
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::int64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t min() const noexcept;
-  [[nodiscard]] std::int64_t max() const noexcept;
-  [[nodiscard]] double mean() const noexcept;
-  // Quantile estimate in [0,1]; interpolates within the selected bucket.
-  [[nodiscard]] double quantile(double q) const noexcept;
-  // Raw bucket count (snapshot capture; index < kBuckets).
-  [[nodiscard]] std::uint64_t bucket(std::size_t index) const noexcept {
-    return buckets_[index].load(std::memory_order_relaxed);
+  [[nodiscard]] std::int64_t min() const noexcept { return sample().min; }
+  [[nodiscard]] std::int64_t max() const noexcept { return sample().max; }
+  [[nodiscard]] double mean() const noexcept { return sample().mean(); }
+  [[nodiscard]] double quantile(double q) const noexcept {
+    return sample().quantile(q);
   }
 
  private:
@@ -120,6 +149,28 @@ class Histogram {
   std::atomic<std::int64_t> min_{std::numeric_limits<std::int64_t>::max()};
   std::atomic<std::int64_t> max_{std::numeric_limits<std::int64_t>::min()};
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+};
+
+// The body every metrics dump shares:
+//   "counters":{...},"gauges":{...},"histograms":{...}
+// Feed counters, then gauges, then histograms, each in name order (the
+// order MetricsRegistry::visit and the snapshot maps yield); finish()
+// closes the last section and emits any section that had no entries.
+class MetricsJsonWriter {
+ public:
+  explicit MetricsJsonWriter(std::string& out) noexcept : out_(out) {}
+  void counter(std::string_view name, std::uint64_t value);
+  void gauge(std::string_view name, const GaugeSample& gauge);
+  void histogram(std::string_view name, const HistogramSample& histogram);
+  void finish();
+
+ private:
+  void enter(int section);
+  void key(int section, std::string_view name);
+
+  std::string& out_;
+  int section_ = -1;
+  bool first_ = true;
 };
 
 class MetricsRegistry {
@@ -134,8 +185,9 @@ class MetricsRegistry {
   [[nodiscard]] const Gauge* findGauge(std::string_view name) const;
   [[nodiscard]] const Histogram* findHistogram(std::string_view name) const;
 
-  // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  // Keys are sorted (std::map), so the dump is deterministic.
+  // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}},
+  // written in place through visit(). Keys are sorted (std::map), so the
+  // dump is deterministic.
   [[nodiscard]] std::string json() const;
 
   // Visit every metric in name order under the registry lock. The visited

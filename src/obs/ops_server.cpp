@@ -91,12 +91,14 @@ void OpsServer::stop() {
     }
     return;
   }
+  // shutdown() wakes the blocked accept(); the fd is closed and cleared
+  // only once the acceptor, which reads listen_fd_, has exited.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   std::vector<std::unique_ptr<Session>> sessions;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -99,15 +100,16 @@ std::string ConvergenceProbes::json() const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += bucket;
+    appendJsonEscaped(out, bucket);
     out += "\":";
+    const HistogramSample s = h.sample();
     std::snprintf(
         buf, sizeof(buf),
         "{\"count\":%llu,\"min_us\":%lld,\"max_us\":%lld,\"mean_us\":%.1f,"
         "\"p50_us\":%.1f,\"p90_us\":%.1f,\"p99_us\":%.1f}",
-        static_cast<unsigned long long>(h.count()),
-        static_cast<long long>(h.min()), static_cast<long long>(h.max()),
-        h.mean(), h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
+        static_cast<unsigned long long>(s.count),
+        static_cast<long long>(s.min), static_cast<long long>(s.max),
+        s.mean(), s.quantile(0.50), s.quantile(0.90), s.quantile(0.99));
     out += buf;
   }
   out += '}';

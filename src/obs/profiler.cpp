@@ -8,6 +8,8 @@
 #include <new>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace cmc::obs {
 
 namespace prof {
@@ -17,14 +19,6 @@ thread_local constinit ThreadState tls;
 }  // namespace prof
 
 namespace {
-
-// Bucket convention matches MetricsRegistry: 0 holds <= 0, i holds
-// [2^(i-1), 2^i).
-std::size_t bucketOf(std::int64_t value) noexcept {
-  if (value <= 0) return 0;
-  const int bits = 64 - __builtin_clzll(static_cast<unsigned long long>(value));
-  return std::min<std::size_t>(static_cast<std::size_t>(bits), 63);
-}
 
 // Median cost of one bracketing steady-clock pair, measured once per
 // process (the clock's cost does not drift within a run). Subtracted from
@@ -48,20 +42,27 @@ std::int64_t clockPairOverheadNs() {
   return overhead;
 }
 
+// A flat node's distribution fields, as the HistogramSample they mirror.
+HistogramSample distOf(const ProfileNode& node) {
+  return {node.calls, node.total_ns, node.min_ns, node.max_ns, node.buckets};
+}
+
+void setDist(ProfileNode& node, const HistogramSample& dist) {
+  node.calls = dist.count;
+  node.total_ns = dist.sum;
+  node.min_ns = dist.min;
+  node.max_ns = dist.max;
+  node.buckets = dist.buckets;
+}
+
 void copyCounters(const prof::Node& from, ProfileNode& to) {
   to.is_value = from.is_value;
-  to.calls = from.calls.load(std::memory_order_relaxed);
-  to.total_ns = from.total_ns.load(std::memory_order_relaxed);
+  setDist(to, from.dist.sample());
   to.self_ns = from.self_ns.load(std::memory_order_relaxed);
-  to.min_ns = from.min_ns.load(std::memory_order_relaxed);
-  to.max_ns = from.max_ns.load(std::memory_order_relaxed);
   to.allocs = from.allocs.load(std::memory_order_relaxed);
   to.alloc_bytes = from.alloc_bytes.load(std::memory_order_relaxed);
   to.frees = from.frees.load(std::memory_order_relaxed);
   to.free_bytes = from.free_bytes.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < to.buckets.size(); ++i) {
-    to.buckets[i] = from.buckets[i].load(std::memory_order_relaxed);
-  }
 }
 
 // Sort every node's children (spans first, then value nodes, each by site
@@ -101,25 +102,6 @@ void canonicalize(std::vector<ProfileNode>& nodes) {
     }
   }
   nodes = std::move(out);
-}
-
-void appendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 void appendU64(std::string& out, std::uint64_t v) {
@@ -169,21 +151,10 @@ prof::Node* ProfileTable::enter(const char* site, prof::Node* parent) {
 
 void ProfileTable::leave(prof::Node* node, std::int64_t dt_ns,
                          std::int64_t child_ns) noexcept {
-  const std::uint64_t calls = node->calls.load(std::memory_order_relaxed);
   std::int64_t self = dt_ns - child_ns;
   if (self < 0) self = 0;
-  // Single-writer: plain load/store pairs are exact; atomics only make the
-  // concurrent report() reader tear-free.
-  node->total_ns.fetch_add(dt_ns, std::memory_order_relaxed);
+  node->dist.observe(dt_ns);
   node->self_ns.fetch_add(self, std::memory_order_relaxed);
-  if (calls == 0 || dt_ns < node->min_ns.load(std::memory_order_relaxed)) {
-    node->min_ns.store(dt_ns, std::memory_order_relaxed);
-  }
-  if (calls == 0 || dt_ns > node->max_ns.load(std::memory_order_relaxed)) {
-    node->max_ns.store(dt_ns, std::memory_order_relaxed);
-  }
-  node->buckets[bucketOf(dt_ns)].fetch_add(1, std::memory_order_relaxed);
-  node->calls.store(calls + 1, std::memory_order_relaxed);
 }
 
 void ProfileTable::value(const char* site, std::int64_t v) {
@@ -206,16 +177,7 @@ void ProfileTable::value(const char* site, std::int64_t v) {
     node->is_value = true;
     parent->children.push_back(node);
   }
-  const std::uint64_t calls = node->calls.load(std::memory_order_relaxed);
-  node->total_ns.fetch_add(v, std::memory_order_relaxed);
-  if (calls == 0 || v < node->min_ns.load(std::memory_order_relaxed)) {
-    node->min_ns.store(v, std::memory_order_relaxed);
-  }
-  if (calls == 0 || v > node->max_ns.load(std::memory_order_relaxed)) {
-    node->max_ns.store(v, std::memory_order_relaxed);
-  }
-  node->buckets[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-  node->calls.store(calls + 1, std::memory_order_relaxed);
+  node->dist.observe(v);
 }
 
 void ProfileTable::recordAlloc(prof::Node* node, std::size_t bytes) noexcept {
@@ -263,25 +225,14 @@ void ProfileReport::mergeFrom(const ProfileReport& other) {
     return;  // nothing recorded
   }
   auto fold = [](ProfileNode& into, const ProfileNode& from) {
-    if (from.calls > 0) {
-      if (into.calls == 0) {
-        into.min_ns = from.min_ns;
-        into.max_ns = from.max_ns;
-      } else {
-        into.min_ns = std::min(into.min_ns, from.min_ns);
-        into.max_ns = std::max(into.max_ns, from.max_ns);
-      }
-    }
-    into.calls += from.calls;
-    into.total_ns += from.total_ns;
+    HistogramSample dist = distOf(into);
+    dist.mergeFrom(distOf(from));
+    setDist(into, dist);
     into.self_ns += from.self_ns;
     into.allocs += from.allocs;
     into.alloc_bytes += from.alloc_bytes;
     into.frees += from.frees;
     into.free_bytes += from.free_bytes;
-    for (std::size_t i = 0; i < into.buckets.size(); ++i) {
-      into.buckets[i] += from.buckets[i];
-    }
   };
   fold(nodes_[0], other.nodes_[0]);
   // `other` is in DFS order, so a node's parent is always mapped before
@@ -338,7 +289,7 @@ std::string ProfileReport::json() const {
     const ProfileNode& n = nodes_[i];
     if (i) out += ',';
     out += "{\"site\":\"";
-    appendEscaped(out, n.site);
+    appendJsonEscaped(out, n.site);
     out += "\",\"parent\":";
     appendI64(out, n.parent);
     out += ",\"depth\":";
@@ -436,11 +387,11 @@ std::string ProfileReport::speedscope(const std::string& name) const {
   for (std::size_t i = 0; i < frames.size(); ++i) {
     if (i) out += ',';
     out += "{\"name\":\"";
-    appendEscaped(out, frames[i]);
+    appendJsonEscaped(out, frames[i]);
     out += "\"}";
   }
   out += "]},\"profiles\":[{\"type\":\"sampled\",\"name\":\"";
-  appendEscaped(out, name);
+  appendJsonEscaped(out, name);
   out += "\",\"unit\":\"nanoseconds\",\"startValue\":0,\"endValue\":";
   appendI64(out, end_value);
   out += ",\"samples\":[";
@@ -507,7 +458,7 @@ std::string ProfileReport::attributionJson(std::int64_t wall_ns) const {
     const auto& [site, agg] = ordered[i];
     if (i) out += ',';
     out += "{\"site\":\"";
-    appendEscaped(out, site);
+    appendJsonEscaped(out, site);
     out += "\",\"calls\":";
     appendU64(out, agg.calls);
     out += ",\"total_ns\":";

@@ -2,10 +2,10 @@
 //
 // CMC_PROF_SCOPE("site") opens an RAII span over a thread-local
 // calling-context tree: each distinct (parent, site) pair is one node
-// accumulating calls, total/self nanoseconds (self = total minus time spent
-// in child spans), min/max, a base-2 duration histogram, and the heap
-// traffic — operator new/delete counts and bytes — that happened while the
-// span was the innermost open one. CMC_PROF_VALUE("site", v) records a
+// accumulating an obs::Histogram of span durations (calls, total, min/max,
+// base-2 buckets), self nanoseconds (total minus time spent in child
+// spans), and the heap traffic — operator new/delete counts and bytes —
+// that happened while the span was the innermost open one. CMC_PROF_VALUE("site", v) records a
 // plain value distribution (queue depths, batch sizes) into a value-kind
 // child node with no timing.
 //
@@ -41,6 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace cmc::obs {
 
 class ProfileTable;
@@ -60,7 +62,7 @@ struct ProfileNode {
   std::uint64_t alloc_bytes = 0;
   std::uint64_t frees = 0;
   std::uint64_t free_bytes = 0;
-  std::array<std::uint64_t, 64> buckets{};  // base-2, as MetricsRegistry
+  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
 };
 
 struct ProfileTotals {
@@ -108,20 +110,18 @@ namespace prof {
 
 // One CCT node, written only by the owning thread; counters are relaxed
 // atomics so a concurrent reader (live telemetry) sees torn-free values.
+// `dist` holds the span durations (or recorded values): calls, total,
+// min/max and the base-2 buckets.
 struct Node {
   const char* site = nullptr;
   Node* parent = nullptr;
   bool is_value = false;
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::int64_t> total_ns{0};
+  Histogram dist;
   std::atomic<std::int64_t> self_ns{0};
-  std::atomic<std::int64_t> min_ns{0};
-  std::atomic<std::int64_t> max_ns{0};
   std::atomic<std::uint64_t> allocs{0};
   std::atomic<std::uint64_t> alloc_bytes{0};
   std::atomic<std::uint64_t> frees{0};
   std::atomic<std::uint64_t> free_bytes{0};
-  std::array<std::atomic<std::uint64_t>, 64> buckets{};
   // Owner-only child index for O(children) lookup on enter; readers must
   // never touch it (report() rebuilds the tree from parent pointers).
   std::vector<Node*> children;

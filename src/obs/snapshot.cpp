@@ -1,69 +1,21 @@
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace cmc::obs {
 
 namespace {
 
-// Bucket i of the base-2 histogram covers [2^(i-1), 2^i) with bucket 0
-// holding exactly zero; lo/hi give the interpolation bounds.
-double bucketLo(std::size_t i) noexcept {
-  return i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i) - 1);
-}
-double bucketHi(std::size_t i) noexcept {
-  return i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i));
-}
-
-void appendHistogramJson(std::string& out, const HistogramSample& h) {
-  char buf[224];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"count\":%llu,\"sum\":%lld,\"min\":%lld,\"max\":%lld,"
-      "\"mean\":%.1f,\"p50\":%.1f,\"p90\":%.1f,\"p99\":%.1f}",
-      static_cast<unsigned long long>(h.count), static_cast<long long>(h.sum),
-      static_cast<long long>(h.min), static_cast<long long>(h.max), h.mean(),
-      h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
-  out += buf;
-}
-
 void appendSections(std::string& out,
                     const std::map<std::string, std::uint64_t>& counters,
                     const std::map<std::string, GaugeSample>& gauges,
                     const std::map<std::string, HistogramSample>& histograms) {
-  char buf[96];
-  out += "\"counters\":{";
-  bool first = true;
-  auto key = [&](const std::string& name) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += name;
-    out += "\":";
-  };
-  for (const auto& [name, v] : counters) {
-    key(name);
-    std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-    out += buf;
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges) {
-    key(name);
-    std::snprintf(buf, sizeof(buf), "{\"value\":%lld,\"max\":%lld}",
-                  static_cast<long long>(g.value),
-                  static_cast<long long>(g.max));
-    out += buf;
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    key(name);
-    appendHistogramJson(out, h);
-  }
-  out += "}";
+  MetricsJsonWriter writer(out);
+  for (const auto& [name, v] : counters) writer.counter(name, v);
+  for (const auto& [name, g] : gauges) writer.gauge(name, g);
+  for (const auto& [name, h] : histograms) writer.histogram(name, h);
+  writer.finish();
 }
 
 // Derive the representable value range of a bucket-diff histogram, where
@@ -83,8 +35,9 @@ void boundFromBuckets(HistogramSample& h) noexcept {
     hi = i;
     seen = true;
   }
-  h.min = static_cast<std::int64_t>(bucketLo(lo));
-  h.max = hi == 0 ? 0 : static_cast<std::int64_t>(bucketHi(hi)) - 1;
+  h.min = static_cast<std::int64_t>(HistogramSample::bucketLo(lo));
+  h.max = std::max<std::int64_t>(
+      static_cast<std::int64_t>(HistogramSample::bucketHi(hi)) - 1, 0);
 }
 
 std::string sanitizePromName(std::string_view name) {
@@ -99,33 +52,6 @@ std::string sanitizePromName(std::string_view name) {
 
 }  // namespace
 
-double HistogramSample::mean() const noexcept {
-  return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
-                   : 0.0;
-}
-
-double HistogramSample::quantile(double q) const noexcept {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  double cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const double in_bucket = static_cast<double>(buckets[i]);
-    if (in_bucket == 0) continue;
-    if (cumulative + in_bucket >= target) {
-      const double frac = (target - cumulative) / in_bucket;
-      const double estimate = bucketLo(i) + (bucketHi(i) - bucketLo(i)) * frac;
-      if (min <= max) {
-        return std::clamp(estimate, static_cast<double>(min),
-                          static_cast<double>(max));
-      }
-      return estimate;
-    }
-    cumulative += in_bucket;
-  }
-  return static_cast<double>(max);
-}
-
 MetricsSnapshot MetricsSnapshot::capture(const MetricsRegistry& registry,
                                          std::int64_t wall_ms) {
   MetricsSnapshot snap;
@@ -138,15 +64,7 @@ MetricsSnapshot MetricsSnapshot::capture(const MetricsRegistry& registry,
         snap.gauges.emplace(name, GaugeSample{g.value(), g.max()});
       },
       [&](const std::string& name, const Histogram& h) {
-        HistogramSample sample;
-        sample.count = h.count();
-        sample.sum = h.sum();
-        sample.min = h.min();
-        sample.max = h.max();
-        for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-          sample.buckets[i] = h.bucket(i);
-        }
-        snap.histograms.emplace(name, std::move(sample));
+        snap.histograms.emplace(name, h.sample());
       });
   return snap;
 }
@@ -158,35 +76,7 @@ void MetricsSnapshot::mergeFrom(const MetricsSnapshot& other) {
     mine.value += g.value;
     mine.max = std::max(mine.max, g.max);
   }
-  for (const auto& [name, h] : other.histograms) {
-    if (h.count == 0) continue;
-    HistogramSample& mine = histograms[name];
-    if (mine.count == 0) {
-      mine.min = h.min;
-      mine.max = h.max;
-    } else {
-      mine.min = std::min(mine.min, h.min);
-      mine.max = std::max(mine.max, h.max);
-    }
-    mine.count += h.count;
-    mine.sum += h.sum;
-    for (std::size_t i = 0; i < mine.buckets.size(); ++i) {
-      mine.buckets[i] += h.buckets[i];
-    }
-  }
-}
-
-void MetricsSnapshot::applyTo(MetricsRegistry& registry) const {
-  for (const auto& [name, v] : counters) registry.counter(name).add(v);
-  for (const auto& [name, g] : gauges) {
-    Gauge& gauge = registry.gauge(name);
-    gauge.set(g.max);  // raise the high-water mark first
-    gauge.set(g.value);
-  }
-  for (const auto& [name, h] : histograms) {
-    registry.histogram(name).accumulate(h.count, h.sum, h.min, h.max,
-                                        h.buckets);
-  }
+  for (const auto& [name, h] : other.histograms) histograms[name].mergeFrom(h);
 }
 
 std::uint64_t MetricsSnapshot::counter(std::string_view name) const noexcept {
@@ -206,6 +96,13 @@ std::string MetricsSnapshot::json() const {
   std::snprintf(buf, sizeof(buf), "{\"wall_ms\":%lld,",
                 static_cast<long long>(wall_ms));
   out += buf;
+  appendSections(out, counters, gauges, histograms);
+  out += "}";
+  return out;
+}
+
+std::string MetricsSnapshot::rollupJson() const {
+  std::string out = "{";
   appendSections(out, counters, gauges, histograms);
   out += "}";
   return out;
@@ -425,7 +322,7 @@ std::string prometheusText(const MetricsSnapshot& snapshot) {
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i <= last; ++i) {
       cumulative += h.buckets[i];
-      const double le = i == 0 ? 0.0 : bucketHi(i) - 1.0;
+      const double le = i == 0 ? 0.0 : HistogramSample::bucketHi(i) - 1.0;
       std::snprintf(buf, sizeof(buf), "{le=\"%.0f\"} %llu\n", le,
                     static_cast<unsigned long long>(cumulative));
       out += prom + "_bucket" + buf;

@@ -22,7 +22,6 @@
 // tests/load_test.cpp and the ops-smoke CI job).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -35,27 +34,6 @@
 
 namespace cmc::obs {
 
-struct GaugeSample {
-  std::int64_t value = 0;
-  std::int64_t max = 0;
-};
-
-// Pre-aggregated histogram state: enough to merge, diff, and estimate
-// quantiles with the same base-2-bucket interpolation as the live
-// Histogram.
-struct HistogramSample {
-  std::uint64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t min = 0;  // clamped to 0 when empty, like Histogram::min()
-  std::int64_t max = 0;
-  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
-
-  [[nodiscard]] double mean() const noexcept;
-  // Quantile estimate in [0,1] by interpolation within the winning bucket,
-  // clamped to [min, max] when those are known.
-  [[nodiscard]] double quantile(double q) const noexcept;
-};
-
 struct MetricsSnapshot {
   std::int64_t wall_ms = 0;  // capture instant, caller-defined epoch
   std::map<std::string, std::uint64_t> counters;
@@ -66,23 +44,24 @@ struct MetricsSnapshot {
   [[nodiscard]] static MetricsSnapshot capture(const MetricsRegistry& registry,
                                                std::int64_t wall_ms = 0);
 
-  // Sum another snapshot into this one: counters and histogram buckets add;
-  // gauge values add and maxes take the max. Summing gauges is only
-  // meaningful as a fleet-wide telemetry view (total armed probes across
-  // shards) — the rollup contract of sharded runtimes still excludes them.
+  // Sum another snapshot into this one: counters and histogram buckets add
+  // (a histogram with no observations still contributes its name, as in
+  // MetricsRegistry::mergeAdditiveFrom); gauge values add and maxes take
+  // the max. Summing gauges is only meaningful as a fleet-wide telemetry
+  // view (total armed probes across shards) — the rollup contract of
+  // sharded runtimes still excludes them.
   void mergeFrom(const MetricsSnapshot& other);
-
-  // Rebuild registry content from this snapshot (counters add, gauges set,
-  // histograms accumulate). Lets a flight recorder dump a merged live view
-  // through the ordinary MetricsRegistry::json() path.
-  void applyTo(MetricsRegistry& registry) const;
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
   [[nodiscard]] const HistogramSample* histogram(
       std::string_view name) const noexcept;
 
-  // Same shape as MetricsRegistry::json(), deterministic key order.
+  // {"wall_ms":N,"counters":...,"gauges":...,"histograms":...},
+  // deterministic key order.
   [[nodiscard]] std::string json() const;
+  // The same without wall_ms: byte-identical to MetricsRegistry::json() of
+  // a registry holding this content (merged dist rollups, flight dumps).
+  [[nodiscard]] std::string rollupJson() const;
 };
 
 // One observation window: the per-window increments between two cumulative

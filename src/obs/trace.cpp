@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace cmc::obs {
@@ -19,27 +20,6 @@ std::int64_t wallMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Minimal JSON string escaping: the strings we record are box names, state
-// names, and signal kinds, but a stray quote must not corrupt the export.
-void appendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -208,7 +188,7 @@ std::string TraceRecorder::chromeTraceJson() const {
                   "\"args\":{\"name\":\"",
                   tid_of[actor]);
     out += buf;
-    appendEscaped(out, actor);
+    appendJsonEscaped(out, actor);
     out += "\"}}";
   }
   for (const TraceEvent& ev : events) {
@@ -230,16 +210,16 @@ std::string TraceRecorder::chromeTraceJson() const {
     out += "\",\"name\":\"";
     switch (ev.kind) {
       case EventKind::signalSend:
-        appendEscaped(out, "send " + ev.name);
+        appendJsonEscaped(out, "send " + ev.name);
         break;
       case EventKind::signalRecv:
-        appendEscaped(out, "recv " + ev.name);
+        appendJsonEscaped(out, "recv " + ev.name);
         break;
       case EventKind::slotTransition:
-        appendEscaped(out, ev.aux + "->" + ev.name);
+        appendJsonEscaped(out, ev.aux + "->" + ev.name);
         break;
       default:
-        appendEscaped(out, ev.name);
+        appendJsonEscaped(out, ev.name);
     }
     out += "\",\"args\":{";
     bool first_arg = true;
@@ -250,7 +230,7 @@ std::string TraceRecorder::chromeTraceJson() const {
     if (!ev.aux.empty()) {
       arg_comma();
       out += "\"aux\":\"";
-      appendEscaped(out, ev.aux);
+      appendJsonEscaped(out, ev.aux);
       out += '"';
     }
     if (ev.id != 0) {

@@ -13,6 +13,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probes.hpp"
+#include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
@@ -249,6 +250,34 @@ TEST(ObsMetricsTest, HistogramQuantiles) {
   EXPECT_NEAR(h.mean(), 50.5, 0.01);
   EXPECT_GE(h.quantile(0.99), h.quantile(0.5));
   EXPECT_LE(h.quantile(1.0), 100.0);
+}
+
+// A box named with '"' or '\' reaches every metrics writer through its
+// sim.box_busy_us.<box> counter; unescaped, it makes the rollup, the
+// `metrics` ops verb and the flight dump unparseable.
+TEST(ObsMetricsTest, NamesAreEscapedByEveryWriter) {
+  const std::string name = "sim.box_busy_us.q\"b\\";
+  const std::string key = "\"sim.box_busy_us.q\\\"b\\\\\":";
+  auto occurrences = [&](const std::string& json) {
+    std::size_t n = 0;
+    for (auto at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  obs::MetricsRegistry reg;
+  reg.counter(name).add(1);
+  reg.gauge(name).set(2);
+  reg.histogram(name).observe(3);
+  EXPECT_EQ(occurrences(reg.json()), 3u) << reg.json();
+  const auto shot = obs::MetricsSnapshot::capture(reg, 0);
+  EXPECT_EQ(occurrences(shot.json()), 3u) << shot.json();
+
+  obs::ConvergenceProbes probes;
+  probes.arm("p", name, 0, []() { return true; });
+  probes.check(10);
+  EXPECT_EQ(occurrences(probes.json()), 1u) << probes.json();
 }
 
 TEST(ObsProbesTest, ProbeCapturesConvergenceLatency) {

@@ -150,7 +150,7 @@ TEST(SnapshotTest, WindowedQuantilesComeFromBucketDiffs) {
   EXPECT_LT(cumulative->quantile(0.50), 100.0);
 }
 
-TEST(SnapshotTest, MergeSumsAndApplyToRebuilds) {
+TEST(SnapshotTest, MergeSumsAndKeepsEmptyHistograms) {
   obs::MetricsRegistry a;
   a.counter("c").add(2);
   a.gauge("g").set(3);
@@ -159,18 +159,24 @@ TEST(SnapshotTest, MergeSumsAndApplyToRebuilds) {
   b.counter("c").add(5);
   b.gauge("g").set(4);
   b.histogram("h").observe(70);
+  (void)b.histogram("empty");  // created, never observed
   auto merged = obs::MetricsSnapshot::capture(a, 0);
   merged.mergeFrom(obs::MetricsSnapshot::capture(b, 0));
   EXPECT_EQ(merged.counter("c"), 7u);
   EXPECT_EQ(merged.gauges.at("g").value, 7);  // fleet total
   EXPECT_EQ(merged.histogram("h")->count, 2u);
+  EXPECT_EQ(merged.histogram("h")->min, 50);
+  EXPECT_EQ(merged.histogram("h")->max, 70);
 
-  obs::MetricsRegistry rebuilt;
-  merged.applyTo(rebuilt);
-  EXPECT_EQ(rebuilt.findCounter("c")->value(), 7u);
-  EXPECT_EQ(rebuilt.findHistogram("h")->count(), 2u);
-  EXPECT_EQ(rebuilt.findHistogram("h")->min(), 50);
-  EXPECT_EQ(rebuilt.findHistogram("h")->max(), 70);
+  // A zero-count histogram keeps its name, as in the registry merge, so a
+  // merged snapshot renders the same keys as a merged registry.
+  obs::MetricsRegistry rollup;
+  rollup.mergeAdditiveFrom(a);
+  rollup.mergeAdditiveFrom(b);
+  ASSERT_NE(rollup.findHistogram("empty"), nullptr);
+  ASSERT_NE(merged.histogram("empty"), nullptr);
+  EXPECT_EQ(merged.histogram("empty")->count, 0u);
+  EXPECT_EQ(merged.histograms.size(), 2u);
 }
 
 TEST(SnapshotTest, SeriesIsBoundedAndTracksWindows) {
