@@ -10,10 +10,16 @@
 // type so that whole system configurations can be copied and fingerprinted
 // by the model checker. The TCP realization lives in src/net and carries
 // the same ChannelMessage frames.
+//
+// Each queue is a SmallVec FIFO, not a std::deque: the model checker copies
+// every channel once per explored successor, queues hold 0-2 messages in
+// nearly every state, and libstdc++ allocates a map and a 512 B node even
+// for an empty deque. Popping the head shifts the rest down, which is
+// cheaper than the allocation at these depths.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <variant>
 
@@ -21,6 +27,7 @@
 #include "obs/context.hpp"
 #include "protocol/signal.hpp"
 #include "util/ids.hpp"
+#include "util/small_vec.hpp"
 
 namespace cmc {
 
@@ -84,7 +91,7 @@ class ChannelState {
   [[nodiscard]] ChannelMessage pop(Side toward) {
     auto& q = queueToward(toward);
     ChannelMessage m = std::move(q.front());
-    q.pop_front();
+    eraseHead(q);
     return m;
   }
 
@@ -97,13 +104,15 @@ class ChannelState {
   // how loss/duplication looks to the receiving slot on a FIFO transport.
   void dropHead(Side toward) {
     auto& q = queueToward(toward);
-    if (!q.empty()) q.pop_front();
+    if (!q.empty()) eraseHead(q);
   }
   void duplicateHead(Side toward) {
     auto& q = queueToward(toward);
     if (q.empty()) return;
+    // Copy before pushing: a push that spills reallocates under q.front().
     ChannelMessage copy = q.front();
-    q.push_front(std::move(copy));
+    q.push_back(std::move(copy));
+    std::rotate(q.begin(), q.end() - 1, q.end());
   }
 
   [[nodiscard]] bool empty() const noexcept {
@@ -113,16 +122,22 @@ class ChannelState {
   void canonicalize(ByteWriter& w) const;
 
  private:
-  [[nodiscard]] std::deque<ChannelMessage>& queueToward(Side s) noexcept {
+  using Queue = SmallVec<ChannelMessage, 2>;
+
+  [[nodiscard]] Queue& queueToward(Side s) noexcept {
     return queues_[static_cast<std::size_t>(s)];
   }
-  [[nodiscard]] const std::deque<ChannelMessage>& queueToward(Side s) const noexcept {
+  [[nodiscard]] const Queue& queueToward(Side s) const noexcept {
     return queues_[static_cast<std::size_t>(s)];
+  }
+  static void eraseHead(Queue& q) {
+    std::move(q.begin() + 1, q.end(), q.begin());
+    q.pop_back();
   }
 
   ChannelId id_;
   std::uint32_t tunnel_count_ = 1;
-  std::deque<ChannelMessage> queues_[2];  // indexed by the Side they travel toward
+  Queue queues_[2];  // indexed by the Side they travel toward
 };
 
 }  // namespace cmc

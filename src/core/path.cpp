@@ -563,7 +563,7 @@ void PathSystem::canonicalize(ByteWriter& w) const {
 std::uint64_t PathSystem::fingerprint() const {
   ByteWriter w;
   canonicalize(w);
-  return fnv1a(w.bytes());
+  return stateHash(w.bytes());
 }
 
 }  // namespace cmc

@@ -174,6 +174,8 @@ class PathSystem {
   bool stabilize();
 
   void canonicalize(ByteWriter& w) const;
+  // stateHash of the canonical bytes (util/bytes.hpp): a process-local
+  // value, equal for equal states, never sent on the wire.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   // Trace of every signal emission, in order, if enabled (for tests and the

@@ -1,13 +1,21 @@
 // Collision-safe, concurrent dedup set for explored states.
 //
-// The explorer used to dedup states on a bare 64-bit FNV-1a fingerprint: a
-// hash collision silently merged two distinct protocol states, and every
+// The explorer used to dedup states on a bare 64-bit fingerprint: a hash
+// collision silently merged two distinct protocol states, and every
 // temporal verdict downstream of the merged state could be wrong. SeenSet
 // closes that hole by keying on the fingerprint but verifying the *full
 // canonical byte encoding* on every insert — two states may share a
-// fingerprint, and both are kept, each with its own index. The price is
-// that canonical bytes are retained for the lifetime of the exploration
-// (reported as `bytesRetained()`, the dominant memory cost of a run).
+// fingerprint, and both are kept, each with its own index.
+//
+// The price: canonical bytes are retained for the lifetime of the
+// exploration (reported as `bytesRetained()`), and with the hash-map nodes
+// they are the one per-state cost that grows with the whole graph. The
+// PathSystem values themselves are not kept here or anywhere else for long:
+// the explorer's frontier owns each discovered system only until its one
+// expansion, then frees it (state_graph.cpp). `insert` borrows the caller's
+// bytes and copies them only when it claims a fresh index, so the dedup
+// hits that dominate a run (about two of every three inserts) allocate
+// nothing.
 //
 // Concurrency: the table is lock-striped into shards addressed by
 // fingerprint, so parallel BFS workers inserting unrelated states almost
@@ -42,8 +50,9 @@ class SeenSet {
   // same fingerprint AND byte-identical encoding exists, returns its index
   // (a dedup hit). If the fingerprint exists but the bytes differ, that is
   // a genuine hash collision: the state is still inserted under its own
-  // index and the collision counter advances.
-  Outcome insert(std::uint64_t fingerprint, std::vector<std::uint8_t>&& bytes) {
+  // index and the collision counter advances. The bytes are copied only on
+  // a fresh insert.
+  Outcome insert(std::uint64_t fingerprint, const std::vector<std::uint8_t>& bytes) {
     Shard& shard = shards_[fingerprint % shards_.size()];
     std::lock_guard<std::mutex> lock(shard.mu);
     std::vector<Entry>& bucket = shard.map[fingerprint];
@@ -61,7 +70,7 @@ class SeenSet {
                                           std::memory_order_relaxed));
     bytes_retained_.fetch_add(bytes.size(), std::memory_order_relaxed);
     if (collided) collisions_.fetch_add(1, std::memory_order_relaxed);
-    bucket.push_back(Entry{std::move(bytes), index});
+    bucket.push_back(Entry{bytes, index});
     return Outcome{index, true, collided};
   }
 

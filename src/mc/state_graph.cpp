@@ -54,13 +54,14 @@ struct Expansion {
   std::vector<std::uint32_t> targets;
 };
 
-// A freshly discovered state: its system is parked here until the merge
-// phase places it at its claimed index.
+// A freshly discovered state. The record is owned by the batch of the level
+// that discovered it and is what the next level's frontier points at; its
+// system lives here only until that one expansion, which resets it.
 struct Discovery {
   std::uint32_t index;
-  PathSystem system;
   std::uint32_t parent;
-  std::string action;
+  PathAction action;
+  std::optional<PathSystem> system;
 };
 
 struct WorkerBatch {
@@ -68,61 +69,73 @@ struct WorkerBatch {
   std::vector<Discovery> discoveries;
 };
 
-// Expand frontier states until the shared cursor runs off the end (or the
+// Buffers one worker reuses for every successor it builds, so their
+// capacity survives from one successor, state and level to the next: the
+// canonical-byte writer, and the successor that is copy-assigned from the
+// expanded state (optional only because PathSystem has no default value).
+struct WorkerScratch {
+  ByteWriter writer;
+  std::optional<PathSystem> successor;
+};
+
+// Expand frontier nodes until the shared cursor runs off the end (or the
 // state budget dies). Claiming distinct frontier slots via the cursor means
-// each state has exactly one expander, so writing states[index] (reset
-// after expansion, to free the PathSystem early) is race-free; the states
-// vector itself is never resized while workers run.
-void expandFrontier(const std::vector<std::uint32_t>& frontier,
-                    std::atomic<std::size_t>& cursor,
-                    std::vector<std::optional<PathSystem>>& states,
-                    SeenSet& seen, std::uint64_t fingerprint_mask,
-                    std::atomic<bool>& out_of_budget, WorkerBatch& out) {
+// each node has exactly one expander, so resetting its system afterwards
+// (to free the PathSystem early) is race-free; the discovery records the
+// frontier points into belong to the previous level and are neither moved
+// nor resized while workers run. A successor is copied out of the scratch
+// buffer only when the seen-set hands it a fresh index.
+void expandFrontier(const std::vector<Discovery*>& frontier,
+                    std::atomic<std::size_t>& cursor, SeenSet& seen,
+                    std::uint64_t fingerprint_mask,
+                    std::atomic<bool>& out_of_budget, WorkerScratch& scratch,
+                    WorkerBatch& out) {
   for (;;) {
     const std::size_t slot = cursor.fetch_add(1, std::memory_order_relaxed);
     if (slot >= frontier.size()) return;
     if (out_of_budget.load(std::memory_order_relaxed)) return;
-    const std::uint32_t index = frontier[slot];
+    Discovery& node = *frontier[slot];
     // Profiling sites here record only on threads with an installed table:
     // the single-thread deterministic path profiles fully; parallel workers
     // (no thread-local table) record nothing and race on nothing.
     CMC_PROF_SCOPE("mc.expand_state");
-    const PathSystem& system = *states[index];
+    const PathSystem& system = *node.system;
     const std::vector<PathAction> actions = system.enabledActions();
     Expansion expansion;
-    expansion.index = index;
+    expansion.index = node.index;
     expansion.bits = bitsOf(system, actions.empty());
     expansion.terminal = actions.empty();
     if (expansion.terminal) {
-      expansion.targets.push_back(index);  // stutter
+      expansion.targets.push_back(node.index);  // stutter
     } else {
+      expansion.targets.reserve(actions.size());
       for (const PathAction& action : actions) {
-        PathSystem successor = system;
-        successor.apply(action);
-        ByteWriter w;
+        scratch.successor = system;
+        scratch.successor->apply(action);
+        scratch.writer.clear();
         {
           CMC_PROF_SCOPE("mc.canonicalize");
-          successor.canonicalize(w);
+          scratch.successor->canonicalize(scratch.writer);
         }
-        std::vector<std::uint8_t> bytes = w.take();
+        const std::vector<std::uint8_t>& bytes = scratch.writer.bytes();
         std::uint64_t fp;
         {
           CMC_PROF_SCOPE("mc.fingerprint");
-          fp = fnv1a(bytes) & fingerprint_mask;
+          fp = stateHash(bytes) & fingerprint_mask;
         }
-        const SeenSet::Outcome got = seen.insert(fp, std::move(bytes));
+        const SeenSet::Outcome got = seen.insert(fp, bytes);
         if (got.index == SeenSet::kNoIndex) {
           out_of_budget.store(true, std::memory_order_relaxed);
           break;  // keep the edges recorded so far for this state
         }
         if (got.inserted) {
           out.discoveries.push_back(
-              Discovery{got.index, std::move(successor), index, action.toString()});
+              Discovery{got.index, node.index, action, *scratch.successor});
         }
         expansion.targets.push_back(got.index);
       }
     }
-    states[index].reset();
+    node.system.reset();
     out.expansions.push_back(std::move(expansion));
   }
 }
@@ -138,11 +151,15 @@ std::set<std::uint32_t> quiescentObservables(const ExploreResult& graph) {
   return out;
 }
 
+std::string ExploreResult::actionLabel(std::uint32_t state) const {
+  return state == 0 ? std::string("<init>") : parent_action[state].toString();
+}
+
 std::vector<std::string> ExploreResult::traceTo(std::uint32_t state) const {
   std::vector<std::string> trace;
   std::uint32_t current = state;
   while (current != 0) {
-    trace.push_back(parent_action[current]);
+    trace.push_back(actionLabel(current));
     current = parent[current];
   }
   std::reverse(trace.begin(), trace.end());
@@ -183,25 +200,31 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
       std::clamp<std::size_t>(limits.max_states, 1, SeenSet::kNoIndex - 1));
 
   SeenSet seen(max_states);
-  // A state's PathSystem is only needed until expansion; the slot is freed
-  // afterwards (bits, edges, and the canonical bytes in `seen` remain).
-  std::vector<std::optional<PathSystem>> states;
+  // State storage: the frontier points at the discovery records of the
+  // level before it, and those records are the only owners of PathSystem
+  // values. Each system is reset as soon as it has been expanded, so at any
+  // moment the live systems are the unexpanded part of one level plus the
+  // states the current level has discovered; bits, edges and parents are
+  // the per-state record, and `seen` keeps the canonical bytes. `owners`
+  // holds the frontier's records, `found` collects the next level's; the
+  // two swap after each merge, so their capacity is reused.
+  std::vector<WorkerBatch> owners(thread_count);
+  std::vector<WorkerBatch> found(thread_count);
+  std::vector<WorkerScratch> scratch(thread_count);
 
   {
     ByteWriter w;
     initial.canonicalize(w);
-    std::vector<std::uint8_t> bytes = w.take();
-    const std::uint64_t fp = fnv1a(bytes) & limits.fingerprint_mask;
-    seen.insert(fp, std::move(bytes));
+    seen.insert(stateHash(w.bytes()) & limits.fingerprint_mask, w.bytes());
   }
-  states.emplace_back(initial);
+  owners[0].discoveries.push_back(Discovery{0, 0, PathAction{}, initial});
   result.bits.push_back(StateBits{});
   result.edges.emplace_back();
   result.parent.push_back(0);
-  result.parent_action.emplace_back("<init>");
+  result.parent_action.emplace_back();
 
   std::atomic<bool> out_of_budget{false};
-  std::vector<std::uint32_t> frontier{0};
+  std::vector<Discovery*> frontier{&owners[0].discoveries.front()};
 
   while (!frontier.empty() && !out_of_budget.load(std::memory_order_relaxed)) {
     ++result.stats.frontier_depth;
@@ -210,21 +233,20 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
 
     const auto expand_start = Clock::now();
     std::atomic<std::size_t> cursor{0};
-    std::vector<WorkerBatch> batches(thread_count);
     {
       CMC_PROF_SCOPE("mc.expand");
       if (thread_count == 1) {
         // Deterministic fallback: frontier slots in order, indices assigned
         // in FIFO discovery order — identical to the historical explorer.
-        expandFrontier(frontier, cursor, states, seen, limits.fingerprint_mask,
-                       out_of_budget, batches[0]);
+        expandFrontier(frontier, cursor, seen, limits.fingerprint_mask,
+                       out_of_budget, scratch[0], found[0]);
       } else {
         std::vector<std::thread> workers;
         workers.reserve(thread_count);
         for (std::size_t t = 0; t < thread_count; ++t) {
           workers.emplace_back([&, t] {
-            expandFrontier(frontier, cursor, states, seen,
-                           limits.fingerprint_mask, out_of_budget, batches[t]);
+            expandFrontier(frontier, cursor, seen, limits.fingerprint_mask,
+                           out_of_budget, scratch[t], found[t]);
           });
         }
         for (std::thread& worker : workers) worker.join();
@@ -235,18 +257,16 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
     const auto merge_start = Clock::now();
     CMC_PROF_SCOPE("mc.merge");
     const std::uint32_t total = seen.size();
-    states.resize(total);
     result.bits.resize(total);  // value-init: expanded=false until committed
     result.edges.resize(total);
     result.parent.resize(total, 0);
     result.parent_action.resize(total);
-    std::vector<std::uint32_t> next_frontier;
-    for (WorkerBatch& batch : batches) {
+    frontier.clear();
+    for (WorkerBatch& batch : found) {
       for (Discovery& d : batch.discoveries) {
-        states[d.index].emplace(std::move(d.system));
         result.parent[d.index] = d.parent;
-        result.parent_action[d.index] = std::move(d.action);
-        next_frontier.push_back(d.index);
+        result.parent_action[d.index] = d.action;
+        frontier.push_back(&d);
       }
       for (Expansion& e : batch.expansions) {
         result.bits[e.index] = e.bits;
@@ -254,13 +274,20 @@ ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
         if (e.terminal) ++result.terminals;
         result.edges[e.index] = std::move(e.targets);
       }
+      batch.expansions.clear();
     }
     // Low-index-first keeps expansion near-FIFO under multiple workers (and
     // is a no-op for one worker, whose discoveries arrive already sorted).
     if (thread_count > 1) {
-      std::sort(next_frontier.begin(), next_frontier.end());
+      std::sort(frontier.begin(), frontier.end(),
+                [](const Discovery* a, const Discovery* b) {
+                  return a->index < b->index;
+                });
     }
-    frontier = std::move(next_frontier);
+    // The new frontier's records now own its systems; the old owners are
+    // all expanded and become next level's empty output.
+    std::swap(owners, found);
+    for (WorkerBatch& batch : found) batch.discoveries.clear();
     result.stats.merge_seconds += elapsed(merge_start);
   }
 

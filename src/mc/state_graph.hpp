@@ -94,9 +94,10 @@ struct ExploreResult {
   // Adjacency: edges[i] lists successor state indices (terminal self-loops
   // included).
   std::vector<std::vector<std::uint32_t>> edges;
-  // Parent pointers for counterexample reconstruction.
+  // Parent pointers for counterexample reconstruction: state i was first
+  // reached from parent[i] by parent_action[i] (state 0's entry is unused).
   std::vector<std::uint32_t> parent;
-  std::vector<std::string> parent_action;
+  std::vector<PathAction> parent_action;
   std::size_t transitions = 0;
   std::size_t terminals = 0;
   bool truncated = false;        // hit max_states
@@ -106,7 +107,10 @@ struct ExploreResult {
 
   [[nodiscard]] std::size_t states() const noexcept { return bits.size(); }
 
-  // Path of actions from the initial state to `state`.
+  // Label of the action that first reached `state`; "<init>" for state 0.
+  [[nodiscard]] std::string actionLabel(std::uint32_t state) const;
+
+  // Path of action labels from the initial state to `state`.
   [[nodiscard]] std::vector<std::string> traceTo(std::uint32_t state) const;
 };
 

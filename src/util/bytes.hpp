@@ -7,6 +7,7 @@
 // needed.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -26,11 +27,15 @@ class ByteWriter {
   }
 
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    std::uint8_t le[4];
+    for (int i = 0; i < 4; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), le, le + 4);
   }
 
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    std::uint8_t le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), le, le + 8);
   }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
@@ -43,6 +48,9 @@ class ByteWriter {
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  // Empty the buffer but keep its capacity, so a writer reused across many
+  // encodings (the explorer canonicalizes every successor) stops allocating.
+  void clear() noexcept { buf_.clear(); }
 
  private:
   std::vector<std::uint8_t> buf_;
@@ -118,8 +126,9 @@ class ByteReader {
   bool ok_ = true;
 };
 
-// FNV-1a over a byte range; used for state fingerprinting in the model
-// checker where we need a stable, fast, order-sensitive hash.
+// FNV-1a over a byte range: a stable, order-sensitive hash whose values go
+// on the wire (net frame checksums, the dist spec hash), so it must never
+// change. It runs a byte at a time; hot in-process hashing uses stateHash.
 [[nodiscard]] constexpr std::uint64_t fnv1a(const std::uint8_t* data,
                                             std::size_t size,
                                             std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept {
@@ -134,6 +143,51 @@ class ByteReader {
 [[nodiscard]] inline std::uint64_t fnv1a(const std::vector<std::uint8_t>& v,
                                          std::uint64_t seed = 0xcbf29ce484222325ULL) noexcept {
   return fnv1a(v.data(), v.size(), seed);
+}
+
+// 64-bit hash of a model-checker state's canonical bytes, a word at a time:
+// the explorer's dedup key and PathSystem::fingerprint(). Its values never
+// leave the process (the seen-set verifies full bytes on every match), so it
+// is free to change; it is not fnv1a and must not replace it on the wire.
+//
+// Each 8-byte little-endian word w_i updates h <- rotl(h ^ w_i * K1, 29) * K2,
+// and the 0..7 trailing bytes form one last zero-padded word; the length is
+// folded into the seed and the result goes through the murmur3 finalizer.
+// Every step is a bijection of h for fixed input words, so inputs of equal
+// length that differ in exactly one word (in particular in one byte) always
+// hash differently.
+[[nodiscard]] inline std::uint64_t stateHash(const std::uint8_t* data,
+                                             std::size_t size) noexcept {
+  constexpr std::uint64_t k1 = 0x9e3779b97f4a7c15ULL;
+  constexpr std::uint64_t k2 = 0xbf58476d1ce4e5b9ULL;
+  auto step = [](std::uint64_t h, std::uint64_t word) {
+    return std::rotl(h ^ word * k1, 29) * k2;
+  };
+  auto load_le = [](const std::uint8_t* p, std::size_t n) {
+    std::uint64_t word = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&word, p, n);  // one load for a full word
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        word |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+      }
+    }
+    return word;
+  };
+  std::uint64_t h = 0x243f6a8885a308d3ULL ^ (size * k2);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) h = step(h, load_le(data + i, 8));
+  if (i < size) h = step(h, load_le(data + i, size - i));
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+[[nodiscard]] inline std::uint64_t stateHash(const std::vector<std::uint8_t>& v) noexcept {
+  return stateHash(v.data(), v.size());
 }
 
 }  // namespace cmc

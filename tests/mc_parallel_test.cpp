@@ -28,7 +28,7 @@ std::uint64_t graphFingerprint(const ExploreResult& g) {
   for (std::size_t i = 0; i < g.bits.size(); ++i) {
     mix(g.bits[i].observable());
     mix(g.parent[i]);
-    const std::string& a = g.parent_action[i];
+    const std::string a = g.actionLabel(i);
     h = fnv1a(reinterpret_cast<const std::uint8_t*>(a.data()), a.size(), h);
   }
   mix(g.transitions);

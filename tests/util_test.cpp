@@ -165,6 +165,38 @@ TEST(Bytes, Fnv1aStableAndOrderSensitive) {
   EXPECT_EQ(fnv1a(a.bytes()), fnv1a(a.bytes()));
 }
 
+TEST(Bytes, StateHashSeesEverySingleByteFlip) {
+  // Lengths 0..40 cover empty input, the partial-word tail at every size,
+  // and several full words. Flipping any one byte must change the hash.
+  for (std::size_t len = 0; len <= 40; ++len) {
+    std::vector<std::uint8_t> bytes(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 37 + len);
+    }
+    const std::uint64_t base = stateHash(bytes);
+    EXPECT_EQ(stateHash(bytes.data(), bytes.size()), base);
+    for (std::size_t i = 0; i < len; ++i) {
+      for (std::uint8_t mask : {std::uint8_t{0x01}, std::uint8_t{0x80},
+                                std::uint8_t{0xFF}}) {
+        std::vector<std::uint8_t> flipped = bytes;
+        flipped[i] ^= mask;
+        EXPECT_NE(stateHash(flipped), base)
+            << "len " << len << " byte " << i << " mask " << int(mask);
+      }
+    }
+  }
+}
+
+TEST(Bytes, StateHashSeparatesLengths) {
+  // Zero padding of the tail word must not make a prefix hash like the
+  // longer input it pads to.
+  const std::vector<std::uint8_t> shorter{1, 2, 3};
+  const std::vector<std::uint8_t> longer{1, 2, 3, 0};
+  EXPECT_NE(stateHash(shorter), stateHash(longer));
+  EXPECT_NE(stateHash(std::vector<std::uint8_t>{}),
+            stateHash(std::vector<std::uint8_t>{0}));
+}
+
 TEST(SimTime, ArithmeticAndComparison) {
   using namespace literals;
   SimTime t0;
