@@ -22,9 +22,12 @@ struct ExploreStats {
   std::size_t frontier_depth = 0;   // BFS levels processed
   std::size_t peak_frontier = 0;    // widest BFS level
   bool truncated = false;
-  double expand_seconds = 0;        // wall time in worker expansion
-  double merge_seconds = 0;         // wall time merging per-level worker output
-  double seconds = 0;               // total wall time
+  double expand_seconds = 0;        // wall time of every level's phase A
+  double merge_seconds = 0;         // ... of its phases B and C
+  // Wall time of the whole explore() call: setup, every level, and the
+  // release of the seen tables, byte arenas and level buffers. Only the
+  // caller's later destruction of the result is outside it.
+  double seconds = 0;
 
   [[nodiscard]] double statesPerSecond() const noexcept {
     return seconds > 0 ? static_cast<double>(states) / seconds : 0.0;

@@ -1,8 +1,10 @@
 #include "mc/state_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <barrier>
 #include <chrono>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "mc/seen_set.hpp"
@@ -45,99 +47,409 @@ StateBits bitsOf(const PathSystem& system, bool terminal) {
   return bits;
 }
 
-// Per-state output of one expansion: bits plus successor indices in action
-// order. Produced by workers, committed to the result single-threaded.
-struct Expansion {
-  std::uint32_t index = 0;
-  StateBits bits{};
-  bool terminal = false;
-  std::vector<std::uint32_t> targets;
+using Clock = std::chrono::steady_clock;
+
+double secondsSince(Clock::time_point since) {
+  return std::chrono::duration<double>(Clock::now() - since).count();
+}
+
+// One successor of an expanded state as phase A leaves it: the index of a
+// state known before this level, or the id of one of the worker's
+// candidates.
+struct Successor {
+  std::uint32_t value;
+  bool candidate;
 };
 
-// A freshly discovered state. The record is owned by the batch of the level
-// that discovered it and is what the next level's frontier points at; its
-// system lives here only until that one expansion, which resets it.
-struct Discovery {
-  std::uint32_t index;
-  std::uint32_t parent;
+// An expanded frontier state: its predicate bits and where its successors
+// end in the worker's successor list.
+struct Expanded {
+  StateBits bits;
+  std::uint32_t successors_end;
+};
+
+// A successor unknown to every earlier level and the first of its bytes in
+// the worker's chunk. Phase B decides whether it is also the first in the
+// whole level; phase C indexes the first ones.
+struct Candidate {
+  std::uint64_t fingerprint;
+  StateArena::Record* own;     // the worker's arena copy of its bytes
+  StateArena::Record* winner;  // phase B: `own`, or an earlier chunk's record
+  std::uint32_t parent;        // frontier position of the state it came from
+  std::uint32_t successor;     // position of its first use in `successors`
   PathAction action;
-  std::optional<PathSystem> system;
+  bool collided;  // phase B: its fingerprint already held other bytes
 };
 
-struct WorkerBatch {
-  std::vector<Expansion> expansions;
-  std::vector<Discovery> discoveries;
-};
+// Aligned so that the partition other workers read in phase A shares no
+// cache line with another worker's writes.
+struct alignas(64) Worker {
+  // Kept for the whole run.
+  SeenSet seen;  // this worker's partition of the fingerprint space
+  alignas(64) StateArena arena;  // bytes of every state this worker discovered
+  // Systems parallel to the candidates: `held` for the level being
+  // expanded (the frontier points into it), `systems` for the next one.
+  std::vector<std::optional<PathSystem>> held, systems;
 
-// Buffers one worker reuses for every successor it builds, so their
-// capacity survives from one successor, state and level to the next: the
-// canonical-byte writer, and the successor that is copy-assigned from the
-// expanded state (optional only because PathSystem has no default value).
-struct WorkerScratch {
+  // Reused every level, so their capacity survives from one to the next.
   ByteWriter writer;
-  std::optional<PathSystem> successor;
+  std::optional<PathSystem> scratch;  // optional only for want of a default
+  SeenSet local;                      // this level's candidates
+  std::vector<Candidate> candidates;
+  std::vector<Expanded> expanded;
+  std::vector<Successor> successors;
+  // Candidate ids, one list per destination partition.
+  std::vector<std::vector<std::uint32_t>> outbox;
+  // Phase B, as partition owner: level-first candidates per source worker.
+  std::vector<std::size_t> firsts_from;
+
+  // Phase C.
+  std::uint32_t index_base = 0;  // index of this worker's first fresh state
+  std::size_t index_limit = 0;   // how many it may index (the state budget)
+  bool cuts = false;             // the budget runs out inside this chunk
+  std::size_t transitions = 0, terminals = 0, collisions = 0, bytes = 0;
 };
 
-// Expand frontier nodes until the shared cursor runs off the end (or the
-// state budget dies). Claiming distinct frontier slots via the cursor means
-// each node has exactly one expander, so resetting its system afterwards
-// (to free the PathSystem early) is race-free; the discovery records the
-// frontier points into belong to the previous level and are neither moved
-// nor resized while workers run. A successor is copied out of the scratch
-// buffer only when the seen-set hands it a fresh index.
-void expandFrontier(const std::vector<Discovery*>& frontier,
-                    std::atomic<std::size_t>& cursor, SeenSet& seen,
-                    std::uint64_t fingerprint_mask,
-                    std::atomic<bool>& out_of_budget, WorkerScratch& scratch,
-                    WorkerBatch& out) {
-  for (;;) {
-    const std::size_t slot = cursor.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= frontier.size()) return;
-    if (out_of_budget.load(std::memory_order_relaxed)) return;
-    Discovery& node = *frontier[slot];
-    // Profiling sites here record only on threads with an installed table:
-    // the single-thread deterministic path profiles fully; parallel workers
-    // (no thread-local table) record nothing and race on nothing.
+// Level-synchronous exploration with one code path for any worker count.
+// Worker w expands the w-th contiguous chunk of the frontier and owns the
+// partition of the fingerprint space that `partitionOf` maps to w. Each
+// level runs in three phases separated by barriers:
+//
+//   A  expand  Each worker expands its chunk in order, looking successors
+//              up read-only in their owning partition (nothing writes a
+//              table in this phase). Unknown ones become candidates: bytes
+//              into the worker's arena, system copied, id filed in the
+//              outbox of the owning partition. A worker-local table folds
+//              repeats inside the chunk, where most duplicates of a level
+//              arise.
+//   B  dedup   Each owner inserts its outboxes' candidates in (worker,
+//              candidate) order, which is (frontier position, action
+//              ordinal) order. The first occurrence of each state wins.
+//   C  index   Fresh states get consecutive indices in that same order,
+//              from per-worker offsets, and the frontier's edges are
+//              resolved; the state budget cuts at exactly the successor
+//              that a sequential walk would fail on.
+//
+// The order is the one a single sequential BFS assigns, so indices,
+// parents, edges, traces and truncation points do not depend on the
+// number of workers. Worker 0 is the calling thread; the serial steps
+// between phases run in the barrier's completion.
+class Explorer {
+ public:
+  Explorer(const PathSystem& initial, const ExploreLimits& limits,
+           ExploreResult& result);
+  Explorer(const Explorer&) = delete;  // workers hold `this`
+  Explorer& operator=(const Explorer&) = delete;
+
+  void run() {
+    std::vector<std::jthread> helpers;
+    for (std::size_t w = 1; w < workers_.size(); ++w) {
+      helpers.emplace_back([this, w] { work(w); });
+    }
+    work(0);
+  }
+
+ private:
+  struct Step {
+    Explorer* explorer;
+    void operator()() const noexcept { explorer->step(); }
+  };
+  enum class Phase { expand, dedup, index, link };
+
+  [[nodiscard]] std::size_t partitionOf(
+      std::uint64_t fingerprint) const noexcept {
+    return static_cast<std::size_t>(
+        ((fingerprint >> 32) * workers_.size()) >> 32);
+  }
+  [[nodiscard]] std::size_t chunkStart(std::size_t w) const noexcept {
+    return frontier_.size() * w / workers_.size();
+  }
+
+  // noexcept: a worker that threw would leave the others waiting at a
+  // barrier forever, so an exception (a disabled action applied, memory
+  // exhausted) ends the program instead.
+  void work(std::size_t w) noexcept {
+    while (!done_) {
+      {
+        CMC_PROF_SCOPE("mc.expand");
+        expand(w);
+        sync_.arrive_and_wait();
+      }
+      CMC_PROF_SCOPE("mc.merge");
+      dedup(w);
+      sync_.arrive_and_wait();
+      index(w);
+      sync_.arrive_and_wait();
+      link(w);
+      sync_.arrive_and_wait();
+    }
+  }
+
+  // The phases, as run by worker (and partition owner) w.
+  void expand(std::size_t w);
+  void dedup(std::size_t w);
+  void index(std::size_t w);
+  void link(std::size_t w);
+
+  // Serial steps, run by the last worker to reach each barrier.
+  void step() noexcept;
+  void plan();
+  void finishLevel();
+  void beginLevel();
+
+  const std::uint64_t mask_;
+  const std::uint32_t max_states_;
+  ExploreResult& result_;
+  std::vector<Worker> workers_;
+  std::barrier<Step> sync_;
+
+  // Written only by the serial steps (and `cut_*` by the one cutting
+  // worker in phase C), read by the workers after the next barrier.
+  Phase phase_ = Phase::expand;
+  std::vector<std::optional<PathSystem>*> frontier_, next_frontier_;
+  std::uint32_t level_start_ = 0;  // index of frontier_[0]
+  std::uint32_t next_ = 1;         // states indexed before this level
+  std::size_t cut_state_ = std::numeric_limits<std::size_t>::max();
+  std::size_t cut_successor_ = 0;
+  bool truncated_ = false;
+  bool done_ = false;
+  Clock::time_point phase_start_;
+};
+
+Explorer::Explorer(const PathSystem& initial, const ExploreLimits& limits,
+                   ExploreResult& result)
+    : mask_(limits.fingerprint_mask),
+      // At least 1 so the initial state always gets its index.
+      max_states_(static_cast<std::uint32_t>(
+          std::clamp<std::size_t>(limits.max_states, 1,
+                                  std::numeric_limits<std::uint32_t>::max() -
+                                      1))),
+      result_(result),
+      workers_(std::max<std::size_t>(1, limits.threads)),
+      sync_(static_cast<std::ptrdiff_t>(workers_.size()), Step{this}) {
+  for (Worker& worker : workers_) {
+    worker.outbox.resize(workers_.size());
+    worker.firsts_from.resize(workers_.size());
+  }
+  Worker& first = workers_[0];
+  initial.canonicalize(first.writer);
+  const std::uint64_t fingerprint = stateHash(first.writer.bytes()) & mask_;
+  StateArena::Record* record = first.arena.append(first.writer.bytes(), 0);
+  workers_[partitionOf(fingerprint)].seen.insert(fingerprint, record);
+  result_.bytes_canonical = record->size;
+  first.held.emplace_back(initial);
+  frontier_.push_back(&first.held.back());
+  result_.bits.push_back(StateBits{});
+  result_.edges.emplace_back();
+  result_.parent.push_back(0);
+  result_.parent_action.emplace_back();
+  beginLevel();
+}
+
+void Explorer::expand(std::size_t w) {
+  Worker& self = workers_[w];
+  self.systems.clear();  // the level before last: expanded, all reset
+  self.candidates.clear();
+  self.expanded.clear();
+  self.successors.clear();
+  self.local.clear();
+  for (std::vector<std::uint32_t>& box : self.outbox) box.clear();
+  const std::size_t end = chunkStart(w + 1);
+  for (std::size_t pos = chunkStart(w); pos < end; ++pos) {
     CMC_PROF_SCOPE("mc.expand_state");
-    const PathSystem& system = *node.system;
+    std::optional<PathSystem>& node = *frontier_[pos];
+    const PathSystem& system = *node;
     const std::vector<PathAction> actions = system.enabledActions();
-    Expansion expansion;
-    expansion.index = node.index;
-    expansion.bits = bitsOf(system, actions.empty());
-    expansion.terminal = actions.empty();
-    if (expansion.terminal) {
-      expansion.targets.push_back(node.index);  // stutter
-    } else {
-      expansion.targets.reserve(actions.size());
-      for (const PathAction& action : actions) {
-        scratch.successor = system;
-        scratch.successor->apply(action);
-        scratch.writer.clear();
-        {
-          CMC_PROF_SCOPE("mc.canonicalize");
-          scratch.successor->canonicalize(scratch.writer);
-        }
-        const std::vector<std::uint8_t>& bytes = scratch.writer.bytes();
-        std::uint64_t fp;
-        {
-          CMC_PROF_SCOPE("mc.fingerprint");
-          fp = stateHash(bytes) & fingerprint_mask;
-        }
-        const SeenSet::Outcome got = seen.insert(fp, bytes);
-        if (got.index == SeenSet::kNoIndex) {
-          out_of_budget.store(true, std::memory_order_relaxed);
-          break;  // keep the edges recorded so far for this state
-        }
-        if (got.inserted) {
-          out.discoveries.push_back(
-              Discovery{got.index, node.index, action, *scratch.successor});
-        }
-        expansion.targets.push_back(got.index);
+    for (const PathAction& action : actions) {
+      self.scratch = system;
+      self.scratch->apply(action);
+      self.writer.clear();
+      {
+        CMC_PROF_SCOPE("mc.canonicalize");
+        self.scratch->canonicalize(self.writer);
+      }
+      const std::vector<std::uint8_t>& bytes = self.writer.bytes();
+      std::uint64_t fingerprint;
+      {
+        CMC_PROF_SCOPE("mc.fingerprint");
+        fingerprint = stateHash(bytes) & mask_;
+      }
+      const std::size_t partition = partitionOf(fingerprint);
+      if (const StateArena::Record* known =
+              workers_[partition].seen.find(fingerprint, bytes)) {
+        self.successors.push_back(Successor{known->index, false});
+      } else if (const StateArena::Record* mine =
+                     self.local.find(fingerprint, bytes)) {
+        // Until phase C a candidate's record holds its id, not an index.
+        self.successors.push_back(Successor{mine->index, true});
+      } else {
+        const auto id = static_cast<std::uint32_t>(self.candidates.size());
+        StateArena::Record* record = self.arena.append(bytes, id);
+        self.local.insert(fingerprint, record);
+        self.outbox[partition].push_back(id);
+        self.candidates.push_back(Candidate{
+            fingerprint, record, nullptr, static_cast<std::uint32_t>(pos),
+            static_cast<std::uint32_t>(self.successors.size()), action,
+            false});
+        self.systems.emplace_back(*self.scratch);
+        self.successors.push_back(Successor{id, true});
       }
     }
-    node.system.reset();
-    out.expansions.push_back(std::move(expansion));
+    self.expanded.push_back(
+        Expanded{bitsOf(system, actions.empty()),
+                 static_cast<std::uint32_t>(self.successors.size())});
+    node.reset();
   }
+}
+
+void Explorer::dedup(std::size_t w) {
+  CMC_PROF_SCOPE("mc.dedup");
+  Worker& owner = workers_[w];
+  for (std::size_t v = 0; v < workers_.size(); ++v) {
+    Worker& source = workers_[v];
+    std::size_t firsts = 0;
+    for (const std::uint32_t id : source.outbox[w]) {
+      Candidate& candidate = source.candidates[id];
+      const SeenSet::Claim claim =
+          owner.seen.insert(candidate.fingerprint, candidate.own);
+      candidate.winner = claim.record;
+      candidate.collided = claim.collided;
+      firsts += claim.inserted ? 1 : 0;
+    }
+    owner.firsts_from[v] = firsts;
+  }
+}
+
+void Explorer::index(std::size_t w) {
+  CMC_PROF_SCOPE("mc.index");
+  Worker& self = workers_[w];
+  std::uint32_t next = self.index_base;
+  std::size_t fresh = 0;
+  self.collisions = 0;
+  self.bytes = 0;
+  for (std::size_t id = 0; id < self.candidates.size(); ++id) {
+    Candidate& candidate = self.candidates[id];
+    if (candidate.winner != candidate.own) {
+      self.systems[id].reset();  // an earlier chunk reached it first
+      continue;
+    }
+    if (fresh == self.index_limit) {
+      if (self.cuts) {
+        cut_state_ = candidate.parent;
+        cut_successor_ = candidate.successor;
+      }
+      break;
+    }
+    ++fresh;
+    const std::uint32_t index = next++;
+    candidate.own->index = index;
+    result_.parent[index] = level_start_ + candidate.parent;
+    result_.parent_action[index] = candidate.action;
+    next_frontier_[index - next_] = &self.systems[id];
+    self.collisions += candidate.collided ? 1 : 0;
+    self.bytes += candidate.own->size;
+  }
+}
+
+void Explorer::link(std::size_t w) {
+  Worker& self = workers_[w];
+  self.transitions = 0;
+  self.terminals = 0;
+  const std::size_t start = chunkStart(w);
+  std::uint32_t begin = 0;
+  for (std::size_t k = 0; k < self.expanded.size(); ++k) {
+    const std::size_t pos = start + k;
+    if (pos > cut_state_) break;  // past the budget: left unexpanded
+    CMC_PROF_SCOPE("mc.link_state");
+    const Expanded& expanded = self.expanded[k];
+    const auto state = static_cast<std::uint32_t>(level_start_ + pos);
+    const std::size_t end =
+        pos == cut_state_ ? cut_successor_ : expanded.successors_end;
+    std::vector<std::uint32_t>& targets = result_.edges[state];
+    if (expanded.bits.terminal) {
+      targets.push_back(state);  // stutter
+    } else {
+      targets.reserve(end - begin);
+      for (std::size_t s = begin; s < end; ++s) {
+        const Successor& successor = self.successors[s];
+        targets.push_back(successor.candidate
+                              ? self.candidates[successor.value].winner->index
+                              : successor.value);
+      }
+    }
+    result_.bits[state] = expanded.bits;
+    self.transitions += targets.size();
+    self.terminals += expanded.bits.terminal ? 1 : 0;
+    begin = expanded.successors_end;
+  }
+}
+
+void Explorer::step() noexcept {
+  switch (phase_) {
+    case Phase::expand:
+      result_.stats.expand_seconds += secondsSince(phase_start_);
+      phase_start_ = Clock::now();
+      phase_ = Phase::dedup;
+      break;
+    case Phase::dedup:
+      plan();
+      phase_ = Phase::index;
+      break;
+    case Phase::index:
+      phase_ = Phase::link;
+      break;
+    case Phase::link:
+      finishLevel();
+      phase_ = Phase::expand;
+      break;
+  }
+}
+
+// Hands out this level's indices: worker v's level-first candidates get
+// the range after workers 0..v-1's, as far as the state budget reaches.
+void Explorer::plan() {
+  std::size_t room = max_states_ - next_;
+  std::uint32_t base = next_;
+  for (std::size_t v = 0; v < workers_.size(); ++v) {
+    std::size_t firsts = 0;
+    for (const Worker& owner : workers_) firsts += owner.firsts_from[v];
+    Worker& source = workers_[v];
+    source.index_base = base;
+    source.index_limit = std::min(firsts, room);
+    source.cuts = !truncated_ && firsts > room;
+    truncated_ = truncated_ || source.cuts;
+    room -= source.index_limit;
+    base += static_cast<std::uint32_t>(source.index_limit);
+  }
+  result_.bits.resize(base);  // value-init: expanded=false until linked
+  result_.edges.resize(base);
+  result_.parent.resize(base, 0);
+  result_.parent_action.resize(base);
+  next_frontier_.assign(base - next_, nullptr);
+}
+
+void Explorer::finishLevel() {
+  for (Worker& worker : workers_) {
+    result_.transitions += worker.transitions;
+    result_.terminals += worker.terminals;
+    result_.stats.collisions += worker.collisions;
+    result_.bytes_canonical += worker.bytes;
+    std::swap(worker.held, worker.systems);
+  }
+  frontier_.swap(next_frontier_);
+  level_start_ = next_;
+  next_ += static_cast<std::uint32_t>(frontier_.size());
+  result_.stats.merge_seconds += secondsSince(phase_start_);
+  result_.truncated = truncated_;
+  done_ = truncated_ || frontier_.empty();
+  if (!done_) beginLevel();
+}
+
+void Explorer::beginLevel() {
+  ++result_.stats.frontier_depth;
+  result_.stats.peak_frontier =
+      std::max(result_.stats.peak_frontier, frontier_.size());
+  phase_start_ = Clock::now();
 }
 
 }  // namespace
@@ -187,123 +499,25 @@ ExploreResult explorePath(GoalKind left, GoalKind right, std::size_t flowlinks,
 }
 
 ExploreResult explore(const PathSystem& initial, const ExploreLimits& limits) {
-  using Clock = std::chrono::steady_clock;
-  const auto start_time = Clock::now();
-  auto elapsed = [](Clock::time_point since) {
-    return std::chrono::duration<double>(Clock::now() - since).count();
-  };
-
+  const auto start = Clock::now();
   ExploreResult result;
-  const std::size_t thread_count = std::max<std::size_t>(1, limits.threads);
-  // At least 1 so the initial state always gets its index.
-  const std::uint32_t max_states = static_cast<std::uint32_t>(
-      std::clamp<std::size_t>(limits.max_states, 1, SeenSet::kNoIndex - 1));
-
-  SeenSet seen(max_states);
-  // State storage: the frontier points at the discovery records of the
-  // level before it, and those records are the only owners of PathSystem
-  // values. Each system is reset as soon as it has been expanded, so at any
-  // moment the live systems are the unexpanded part of one level plus the
-  // states the current level has discovered; bits, edges and parents are
-  // the per-state record, and `seen` keeps the canonical bytes. `owners`
-  // holds the frontier's records, `found` collects the next level's; the
-  // two swap after each merge, so their capacity is reused.
-  std::vector<WorkerBatch> owners(thread_count);
-  std::vector<WorkerBatch> found(thread_count);
-  std::vector<WorkerScratch> scratch(thread_count);
-
   {
-    ByteWriter w;
-    initial.canonicalize(w);
-    seen.insert(stateHash(w.bytes()) & limits.fingerprint_mask, w.bytes());
-  }
-  owners[0].discoveries.push_back(Discovery{0, 0, PathAction{}, initial});
-  result.bits.push_back(StateBits{});
-  result.edges.emplace_back();
-  result.parent.push_back(0);
-  result.parent_action.emplace_back();
+    Explorer explorer(initial, limits, result);
+    explorer.run();
+  }  // the seen tables, arenas and level buffers are released on the clock
+  result.seconds = secondsSince(start);
 
-  std::atomic<bool> out_of_budget{false};
-  std::vector<Discovery*> frontier{&owners[0].discoveries.front()};
-
-  while (!frontier.empty() && !out_of_budget.load(std::memory_order_relaxed)) {
-    ++result.stats.frontier_depth;
-    result.stats.peak_frontier =
-        std::max(result.stats.peak_frontier, frontier.size());
-
-    const auto expand_start = Clock::now();
-    std::atomic<std::size_t> cursor{0};
-    {
-      CMC_PROF_SCOPE("mc.expand");
-      if (thread_count == 1) {
-        // Deterministic fallback: frontier slots in order, indices assigned
-        // in FIFO discovery order — identical to the historical explorer.
-        expandFrontier(frontier, cursor, seen, limits.fingerprint_mask,
-                       out_of_budget, scratch[0], found[0]);
-      } else {
-        std::vector<std::thread> workers;
-        workers.reserve(thread_count);
-        for (std::size_t t = 0; t < thread_count; ++t) {
-          workers.emplace_back([&, t] {
-            expandFrontier(frontier, cursor, seen, limits.fingerprint_mask,
-                           out_of_budget, scratch[t], found[t]);
-          });
-        }
-        for (std::thread& worker : workers) worker.join();
-      }
-    }
-    result.stats.expand_seconds += elapsed(expand_start);
-
-    const auto merge_start = Clock::now();
-    CMC_PROF_SCOPE("mc.merge");
-    const std::uint32_t total = seen.size();
-    result.bits.resize(total);  // value-init: expanded=false until committed
-    result.edges.resize(total);
-    result.parent.resize(total, 0);
-    result.parent_action.resize(total);
-    frontier.clear();
-    for (WorkerBatch& batch : found) {
-      for (Discovery& d : batch.discoveries) {
-        result.parent[d.index] = d.parent;
-        result.parent_action[d.index] = d.action;
-        frontier.push_back(&d);
-      }
-      for (Expansion& e : batch.expansions) {
-        result.bits[e.index] = e.bits;
-        result.transitions += e.targets.size();
-        if (e.terminal) ++result.terminals;
-        result.edges[e.index] = std::move(e.targets);
-      }
-      batch.expansions.clear();
-    }
-    // Low-index-first keeps expansion near-FIFO under multiple workers (and
-    // is a no-op for one worker, whose discoveries arrive already sorted).
-    if (thread_count > 1) {
-      std::sort(frontier.begin(), frontier.end(),
-                [](const Discovery* a, const Discovery* b) {
-                  return a->index < b->index;
-                });
-    }
-    // The new frontier's records now own its systems; the old owners are
-    // all expanded and become next level's empty output.
-    std::swap(owners, found);
-    for (WorkerBatch& batch : found) batch.discoveries.clear();
-    result.stats.merge_seconds += elapsed(merge_start);
-  }
-
-  result.truncated = out_of_budget.load(std::memory_order_relaxed);
-  result.bytes_canonical = seen.bytesRetained();
-  result.seconds = elapsed(start_time);
-
-  result.stats.threads = thread_count;
-  result.stats.states = result.bits.size();
-  result.stats.transitions = result.transitions;
-  result.stats.terminals = result.terminals;
-  result.stats.dedup_hits = seen.hits();
-  result.stats.collisions = seen.collisions();
-  result.stats.bytes_retained = seen.bytesRetained();
-  result.stats.truncated = result.truncated;
-  result.stats.seconds = result.seconds;
+  ExploreStats& stats = result.stats;
+  stats.threads = std::max<std::size_t>(1, limits.threads);
+  stats.states = result.bits.size();
+  stats.transitions = result.transitions;
+  stats.terminals = result.terminals;
+  // Every recorded edge that is neither a stutter nor the discovery of a
+  // state (all but the initial one) found a known state.
+  stats.dedup_hits = result.transitions - result.terminals - (stats.states - 1);
+  stats.bytes_retained = result.bytes_canonical;
+  stats.truncated = result.truncated;
+  stats.seconds = result.seconds;
   return result;
 }
 

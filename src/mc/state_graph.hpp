@@ -16,9 +16,13 @@
 //
 // Dedup is collision-safe: states are keyed by fingerprint but verified by
 // full canonical bytes (see seen_set.hpp), so a 64-bit hash collision can
-// never merge two distinct states. Expansion is a level-synchronized
-// parallel BFS (ExploreLimits::threads workers per level); threads == 1 is
-// the deterministic sequential fallback.
+// never merge two distinct states. Expansion is a level-synchronized BFS
+// with one code path for any number of workers (ExploreLimits::threads):
+// each worker expands a contiguous chunk of the frontier and owns one
+// partition of the fingerprint space, and each level ends in a phased
+// merge that indexes new states in sequential BFS order. The resulting
+// graph — indices, parents, edges, traces, truncation point — is the same
+// at every thread count.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +56,8 @@ struct StateBits {
   bool media_left : 1;   // left endpoint ready to transmit
   bool media_right : 1;  // right endpoint ready to transmit
 
+  friend bool operator==(const StateBits&, const StateBits&) = default;
+
   // The endpoint-observable fingerprint of this state. Section V requires
   // that "a path of a given type can have any number of tunnels and
   // flowlinks, as these should be transparent with respect to observable
@@ -76,12 +82,10 @@ struct ExploreLimits {
   // an in-flight fault being repaired is a legitimate transient).
   std::uint32_t fault_budget = 0;
   bool defer_attach = true;  // chaotic initial phase before goals engage
-  // Worker threads for frontier expansion. threads == 1 runs the
-  // deterministic sequential path: state indices, parents, and traces are
-  // reproducible run-to-run and match the historical single-threaded
-  // explorer. threads > 1 keeps state/transition/terminal counts and all
-  // verification verdicts identical (the reachable graph is explored
-  // exhaustively either way) but assigns indices in nondeterministic order.
+  // Workers per level; the calling thread is worker 0, so 1 starts no
+  // thread. The explored graph does not depend on it: state indices,
+  // parents, edges, counterexample traces and the truncation point are the
+  // ones a sequential BFS produces, at any thread count.
   std::size_t threads = 1;
   // Testing hook: fingerprints are masked with this value before dedup, so
   // a coarse mask (e.g. 0xFF) forces hash collisions and exercises the

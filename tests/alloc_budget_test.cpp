@@ -17,21 +17,34 @@
 // string built per delivery, a descriptor clone — this test fails before
 // the throughput regression reaches a release.
 //
-// The explorer gate pins the cost of one explored state after channel
-// queues moved from std::deque to SmallVec and each worker got a reused
-// byte writer and scratch successor. Workload: one profiled threads=1
-// explore of openSlot/openSlot with no flowlink, chaos_budget=1 and
-// modify_budget=1 (13,470 states):
+// The explorer gate pins the cost of one explored state. Workload: one
+// profiled threads=1 explore of openSlot/openSlot with no flowlink,
+// chaos_budget=1 and modify_budget=1 (13,470 states, 18 levels; the
+// explorer's sites record on the calling thread, which is worker 0):
 //
-//   site              before      after        budget
-//   mc.expand_state   32.0/op     14.05/op     <= 16 allocs per state
-//   mc.canonicalize   9.33/op     0.0004/op    <= 0.01 allocs per successor
+//   site              op          before     now       budget
+//   mc.expand_state   state       14.05      10.04     <= 12
+//   mc.canonicalize   successor   0.0004     0.0001    <= 0.01
+//   mc.link_state     state       -          1.00      <= 1
+//   mc.expand         level       -          0.11      <= 1
+//   mc.merge          level       -          3.39      <= 8
+//   mc.dedup          level       -          0.28      <= 1
+//   mc.index          level       -          0         <= 1
+//
+// "Before" is the lock-striped hash-map seen set, whose explorer had no
+// per-state merge site (the edge list was allocated in mc.expand_state).
 //
 // mc.expand_state counts the allocations made inside it but outside its
-// child sites: mostly the copy of each fresh successor into its discovery
-// record, the seen-set entry for its bytes, and the enabled-action and edge
-// lists. There are 2.34 successors per state here, so the ~2 allocs/op of
-// headroom is less than one more allocation per successor would add.
+// child sites: the enabled-action list and the copy of each successor that
+// is new to the level. The seen-set entry for its bytes no longer
+// allocates (flat tables over arena blocks), and the edge list moved to
+// mc.link_state, where phase C resolves it: exactly one allocation per
+// state. There are 2.34 successors per state here, so the ~2 allocs/op of
+// headroom is less than one more allocation per successor would add. The
+// per-level sites (phase A's setup, the merge's index plan and result
+// growth, phase B's table growth, phase C's indexing) allocate a few times
+// per level at most; an allocation per state or candidate there would
+// read in the hundreds.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -109,8 +122,13 @@ TEST(AllocBudget, ExplorerSitesStayWithinBudget) {
       explorePath(GoalKind::openSlot, GoalKind::openSlot, 0, limits);
   obs::setThreadProfiler(nullptr);
   ASSERT_EQ(graph.states(), 13470u);
-  expectWithinBudgets(table.report(), {{"mc.expand_state", 16.0},
-                                       {"mc.canonicalize", 0.01}});
+  expectWithinBudgets(table.report(), {{"mc.expand_state", 12.0},
+                                       {"mc.canonicalize", 0.01},
+                                       {"mc.link_state", 1.0},
+                                       {"mc.expand", 1.0},
+                                       {"mc.merge", 8.0},
+                                       {"mc.dedup", 1.0},
+                                       {"mc.index", 1.0}});
 }
 
 TEST(AllocBudget, DeliveryVolumeIsRepresentative) {

@@ -1,9 +1,12 @@
 // Parallel explorer tests: thread-count equivalence over the paper's 12
 // models (identical state/transition/terminal counts and verification
-// verdicts at 1, 2, and 8 workers), determinism of the sequential fallback,
-// and coherence of ExploreStats under concurrency. These are the tests the
-// ThreadSanitizer preset (cmake --preset tsan) is meant to exercise.
+// verdicts at 1, 2, and 8 workers), identical graphs — indices, parents,
+// actions, edges and bits — at every thread count, and coherence of
+// ExploreStats under concurrency. These are the tests the ThreadSanitizer
+// preset (cmake --preset tsan) is meant to exercise.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "mc/verification.hpp"
 #include "util/bytes.hpp"
@@ -13,10 +16,9 @@ namespace {
 
 using K = GoalKind;
 
-// Deterministic digest of a sequentially-explored graph: folds every
-// state's observable bits, parent index, and parent action label, then the
-// edge totals. Only meaningful at threads==1, where state order is part of
-// the explorer's contract.
+// Deterministic digest of an explored graph: folds every state's observable
+// bits, parent index, and parent action label, then the edge totals. State
+// order is part of the explorer's contract at every thread count.
 std::uint64_t graphFingerprint(const ExploreResult& g) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint64_t v) {
@@ -98,6 +100,45 @@ TEST(ParallelExplore, SingleThreadIsFullyDeterministic) {
   EXPECT_EQ(a.edges, b.edges);
 }
 
+TEST(ParallelExplore, GraphIsIdenticalAtEveryThreadCount) {
+  // Every worker count assigns indices in the order a sequential BFS does
+  // (frontier position, then action ordinal), so the graph itself — not
+  // just its counts — is the same at any thread count, and a state budget
+  // cuts it at the same successor.
+  ExploreLimits truncated = base();
+  truncated.max_states = 500;
+  struct Case {
+    const char* name;
+    K left, right;
+    std::size_t flowlinks;
+    ExploreLimits limits;
+  };
+  const Case cases[] = {
+      {"openSlot/holdSlot/0", K::openSlot, K::holdSlot, 0, base()},
+      {"openSlot/openSlot/1", K::openSlot, K::openSlot, 1, base()},
+      {"openSlot/openSlot/1, max_states 500", K::openSlot, K::openSlot, 1,
+       truncated},
+  };
+  for (const Case& c : cases) {
+    ExploreLimits limits = c.limits;
+    limits.threads = 1;
+    const auto reference = explorePath(c.left, c.right, c.flowlinks, limits);
+    EXPECT_EQ(reference.truncated, c.limits.max_states == 500) << c.name;
+    for (std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+      limits.threads = threads;
+      const auto graph = explorePath(c.left, c.right, c.flowlinks, limits);
+      SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(threads) +
+                   " threads");
+      EXPECT_EQ(graph.truncated, reference.truncated);
+      EXPECT_EQ(graph.parent, reference.parent);
+      EXPECT_EQ(graph.parent_action, reference.parent_action);
+      EXPECT_EQ(graph.edges, reference.edges);
+      EXPECT_EQ(graph.bits, reference.bits);
+      EXPECT_EQ(graphFingerprint(graph), graphFingerprint(reference));
+    }
+  }
+}
+
 // ----------------------------------------------- stats under concurrency
 
 TEST(ParallelExplore, StatsStayCoherentUnderThreads) {
@@ -134,8 +175,8 @@ TEST(ParallelExplore, CollisionSafetyHoldsUnderThreads) {
 }
 
 TEST(ParallelExplore, TruncationIsExactUnderThreads) {
-  // The budget is enforced by a single atomic allocator, so even 8 racing
-  // workers can never overshoot max_states.
+  // Indices are handed out after each level's dedup, from per-worker
+  // offsets capped by the budget, so 8 workers stop at exactly max_states.
   ExploreLimits limits = base();
   limits.threads = 8;
   limits.max_states = 500;
@@ -189,9 +230,9 @@ TEST(ExplorerPins, ReferenceModelMatchesRecordedFingerprint) {
 }
 
 TEST(ExplorerPins, LargeReferenceModelMatchesRecordedCounts) {
-  // The 782k-state flowlinked reference model. Counts are thread-order
-  // independent, so explore in parallel for speed; the full-graph digest
-  // would require threads==1 (~12s) and is covered above on the flat model.
+  // The 782k-state flowlinked reference model, explored in parallel for
+  // speed: the graph is the same at any thread count, so its digest (recorded
+  // with one worker) pins the whole graph here too.
   ExploreLimits limits;
   limits.chaos_budget = 1;
   limits.modify_budget = 1;
@@ -202,6 +243,7 @@ TEST(ExplorerPins, LargeReferenceModelMatchesRecordedCounts) {
   EXPECT_EQ(linked.states(), 782915u);
   EXPECT_EQ(linked.transitions, 2320246u);
   EXPECT_EQ(linked.terminals, 128u);
+  EXPECT_EQ(graphFingerprint(linked), 0xd6e1ca2043e9218bULL);
 }
 
 }  // namespace

@@ -95,35 +95,64 @@ TEST(Explore, FullRunMarksEveryStateExpanded) {
 // ------------------------------------------------------- collision safety
 
 TEST(CollisionSafety, SeenSetKeepsCollidingStatesDistinct) {
-  SeenSet seen(/*max_states=*/10);
+  StateArena arena;
+  SeenSet seen;
+  std::size_t hits = 0;
+  std::size_t collisions = 0;
+  std::size_t retained = 0;
+  std::uint32_t next_index = 0;
+  // The explorer's use of a partition: a record per encoding, stored under
+  // the next index if its bytes are new.
+  auto insert = [&](std::uint64_t fingerprint,
+                    const std::vector<std::uint8_t>& bytes) {
+    const SeenSet::Claim claim =
+        seen.insert(fingerprint, arena.append(bytes, next_index));
+    if (claim.inserted) {
+      ++next_index;
+      retained += bytes.size();
+    } else {
+      ++hits;
+    }
+    collisions += claim.collided ? 1 : 0;
+    return claim;
+  };
   // Two different canonical encodings forced onto the same fingerprint.
-  std::vector<std::uint8_t> a{1, 2, 3};
-  std::vector<std::uint8_t> b{4, 5, 6, 7};
-  auto first = seen.insert(42, std::vector<std::uint8_t>(a));
+  const std::vector<std::uint8_t> a{1, 2, 3};
+  const std::vector<std::uint8_t> b{4, 5, 6, 7};
+  const auto first = insert(42, a);
   EXPECT_TRUE(first.inserted);
   EXPECT_FALSE(first.collided);
-  auto second = seen.insert(42, std::vector<std::uint8_t>(b));
+  const auto second = insert(42, b);
   EXPECT_TRUE(second.inserted);
   EXPECT_TRUE(second.collided);
-  EXPECT_NE(first.index, second.index);
-  EXPECT_EQ(seen.collisions(), 1u);
-  // Re-inserting either encoding is a dedup hit on its own index.
-  auto again = seen.insert(42, std::vector<std::uint8_t>(a));
+  EXPECT_NE(first.record->index, second.record->index);
+  EXPECT_EQ(collisions, 1u);
+  // Re-inserting either encoding is a dedup hit on its own index, and a
+  // lookup finds each under the shared fingerprint.
+  const auto again = insert(42, a);
   EXPECT_FALSE(again.inserted);
-  EXPECT_EQ(again.index, first.index);
-  EXPECT_EQ(seen.hits(), 1u);
+  EXPECT_EQ(again.record->index, first.record->index);
+  EXPECT_EQ(seen.find(42, a), first.record);
+  EXPECT_EQ(seen.find(42, b), second.record);
+  EXPECT_EQ(seen.find(43, a), nullptr);
+  EXPECT_EQ(hits, 1u);
   EXPECT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen.bytesRetained(), a.size() + b.size());
+  EXPECT_EQ(retained, a.size() + b.size());
 }
 
 TEST(CollisionSafety, SeenSetEnforcesStateBudget) {
-  SeenSet seen(/*max_states=*/2);
-  EXPECT_TRUE(seen.insert(1, {1}).inserted);
-  EXPECT_TRUE(seen.insert(2, {2}).inserted);
-  auto over = seen.insert(3, {3});
-  EXPECT_FALSE(over.inserted);
-  EXPECT_EQ(over.index, SeenSet::kNoIndex);
-  EXPECT_EQ(seen.size(), 2u);
+  // The budget is applied where indices are handed out: the explorer's
+  // phase C. With room for two states, exactly two get an index, the next
+  // fresh successor is refused, and no edge points past the budget.
+  ExploreLimits limits = quick();
+  limits.max_states = 2;
+  const auto graph = explorePath(K::openSlot, K::openSlot, 1, limits);
+  EXPECT_TRUE(graph.truncated);
+  EXPECT_EQ(graph.states(), 2u);
+  for (const auto& targets : graph.edges) {
+    for (const std::uint32_t target : targets) EXPECT_LT(target, 2u);
+  }
+  EXPECT_FALSE(graph.bits[1].expanded);
 }
 
 TEST(CollisionSafety, MaskedFingerprintsDoNotMergeStates) {
