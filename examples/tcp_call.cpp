@@ -14,13 +14,14 @@
 #include <sstream>
 
 #include "core/goal.hpp"
+#include "net/listener.hpp"
 #include "net/tcp_transport.hpp"
 
 int main() {
   using namespace cmc;
   using namespace cmc::net;
 
-  TcpSignalingListener listener(0);
+  Listener listener(0);
   if (!listener.ok()) {
     std::fprintf(stderr, "could not bind a loopback listener\n");
     return 1;
@@ -28,13 +29,14 @@ int main() {
   std::printf("listening on 127.0.0.1:%u\n", listener.port());
 
   auto accepted = std::async(std::launch::async,
-                             [&listener]() { return listener.acceptOne(); });
+                             [&listener]() { return listener.accept(); });
   auto caller_peer = TcpSignalingPeer::connect("127.0.0.1", listener.port());
-  auto callee_peer = accepted.get();
-  if (!caller_peer || !callee_peer) {
+  auto callee_conn = accepted.get();
+  if (!caller_peer || !callee_conn) {
     std::fprintf(stderr, "loopback connect failed\n");
     return 1;
   }
+  auto callee_peer = std::make_unique<TcpSignalingPeer>(std::move(callee_conn));
 
   std::mutex mutex;
   std::condition_variable cv;

@@ -307,15 +307,6 @@ void Box::fireTimer(const std::string& tag) {
   onTimer(tag);
 }
 
-void Box::channelUp(ChannelId channel, const std::string& tag,
-                    const std::vector<SlotId>& slots) {
-  (void)channel;
-  (void)tag;
-  (void)slots;
-  // addChannelEnd already invoked the hook; method retained for runtimes
-  // that separate registration from notification.
-}
-
 Box::Output Box::drainOutput() {
   Output out = std::move(output_);
   output_ = Output{};

@@ -129,9 +129,6 @@ class Box {
   virtual void deliverTunnel(SlotId slot, const Signal& signal);
   void deliverMeta(ChannelId channel, const MetaSignal& meta);
   void fireTimer(const std::string& tag);
-  // The runtime confirms a ChannelRequest: the channel now exists.
-  void channelUp(ChannelId channel, const std::string& tag,
-                 const std::vector<SlotId>& slots);
 
   // ------------------------------------------------------------- outputs
   struct TimerRequest {

@@ -1,9 +1,6 @@
 #include "load/dist/driver.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,7 +13,7 @@
 #include <mutex>
 #include <thread>
 
-#include "net/framed_rpc.hpp"
+#include "net/listener.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
 
@@ -56,8 +53,7 @@ struct DistDriver::Impl {
   enum Phase { gather = 0, pushSpec = 1, started = 2, shutdown = 3 };
 
   DriverConfig config;
-  int listen_fd = -1;
-  std::uint16_t port = 0;
+  net::Listener listener;
   bool ran = false;
 
   std::thread acceptor;
@@ -76,42 +72,17 @@ struct DistDriver::Impl {
   std::vector<std::unique_ptr<Link>> links;
   std::vector<pid_t> children;
 
-  explicit Impl(DriverConfig cfg) : config(std::move(cfg)) {
+  explicit Impl(DriverConfig cfg)
+      : config(std::move(cfg)),
+        listener(static_cast<std::uint16_t>(config.port)) {
     if (config.workers == 0) config.workers = 1;
     if (config.shards == 0) config.shards = 1;
-    listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) return;
-    int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(config.port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-            0 ||
-        ::listen(listen_fd, 16) != 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-      return;
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) ==
-        0) {
-      port = ntohs(addr.sin_port);
-    }
   }
 
   ~Impl() {
-    if (listen_fd >= 0) {
-      ::shutdown(listen_fd, SHUT_RDWR);
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
+    listener.shutdown();
     if (acceptor.joinable()) acceptor.join();
-    for (auto& link : links) {
-      if (link->conn) link->conn->close();
-      if (link->thread.joinable()) link->thread.join();
-    }
+    for (auto& link : links) link->conn->closeAfter(link->thread);
   }
 
   // First fatal failure wins; wakes every waiter. Callers hold no lock.
@@ -130,11 +101,9 @@ struct DistDriver::Impl {
   }
 
   void acceptLoop() {
-    while (true) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) break;  // listener closed by cleanup
+    while (auto conn = listener.accept()) {
       auto link = std::make_unique<Link>();
-      link->conn = std::make_unique<net::FramedConn>(fd);
+      link->conn = std::move(conn);
       link->conn->setRecvTimeoutMs(kPollMs);
       Link* raw = link.get();
       link->thread = std::thread([this, raw]() { serveLink(*raw); });
@@ -376,7 +345,7 @@ struct DistDriver::Impl {
 
   void spawnChildren() {
     for (std::size_t rank = 0; rank < config.workers; ++rank) {
-      const std::string port_arg = std::to_string(port);
+      const std::string port_arg = std::to_string(listener.port());
       const std::string rank_arg = std::to_string(rank);
       const pid_t pid = ::fork();
       if (pid == 0) {
@@ -414,7 +383,7 @@ struct DistDriver::Impl {
     for (std::size_t rank = 0; rank < config.workers; ++rank) {
       result.workers[rank].rank = static_cast<std::uint32_t>(rank);
     }
-    if (listen_fd < 0) {
+    if (!listener.ok()) {
       result.error = "driver listener failed to bind";
       return result;
     }
@@ -517,11 +486,12 @@ struct DistDriver::Impl {
       cv.notify_all();
     }
 
-    // Stop accepting, then join every link.
-    ::shutdown(listen_fd, SHUT_RDWR);
-    ::close(listen_fd);
-    listen_fd = -1;
+    // Stop accepting, then join every link. Links end on their own once
+    // they have sent SHUTDOWN (their reads poll every kPollMs), so they are
+    // joined without a wake-up that could cut that frame off.
+    listener.shutdown();
     if (acceptor.joinable()) acceptor.join();
+    listener.close();
     std::vector<std::unique_ptr<Link>> finished;
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -529,7 +499,7 @@ struct DistDriver::Impl {
     }
     for (auto& link : finished) {
       if (link->thread.joinable()) link->thread.join();
-      if (link->conn) link->conn->close();
+      link->conn->close();
     }
     reapChildren();
     result.wall_seconds =
@@ -603,9 +573,13 @@ DistDriver::DistDriver(DriverConfig config)
 
 DistDriver::~DistDriver() = default;
 
-bool DistDriver::ok() const noexcept { return impl_->listen_fd >= 0 || impl_->ran; }
+bool DistDriver::ok() const noexcept {
+  return impl_->listener.ok() || impl_->ran;
+}
 
-std::uint16_t DistDriver::port() const noexcept { return impl_->port; }
+std::uint16_t DistDriver::port() const noexcept {
+  return impl_->listener.port();
+}
 
 DistResult DistDriver::run(const WorkloadSpec& workload) {
   return impl_->run(workload);

@@ -1,13 +1,14 @@
-// FramedConn: one blocking, framed request/response connection.
+// FramedConn: the one framed TCP connection.
 //
-// Two protocols ride the raw [length][checksum][body] frames of
-// net/framing.hpp — the read-only ops/telemetry plane (obs/ops_server) and
-// the distributed load coordinator (load/dist). Both need the same client
-// machinery: connect to a loopback peer, send whole frames (thread-safe, so
-// a sampler thread can interleave with the main conversation), and pop
-// complete frame bodies off the stream with the decoder state carried
-// across reads. This header is that one codepath; OpsClient and the
-// driver/worker links are thin protocol layers over it.
+// Every link in this repo rides the [length][checksum][body] frames of
+// net/framing.hpp: the signaling peer (net/tcp_transport), the read-only
+// ops/telemetry plane (obs/ops_server) and the distributed load coordinator
+// (load/dist). They share this one connection type: connect to a loopback
+// peer (or adopt an accepted socket from net::Listener), send whole frames
+// (thread-safe, so a sampler thread can interleave with the main
+// conversation), and pop complete frame bodies off the stream with the
+// decoder state carried across reads. The protocols above are thin layers
+// over it.
 //
 // Read semantics mirror the decoder contract: a corrupt frame is skipped
 // like line noise (counted, never surfaced), a hostile length poisons the
@@ -15,9 +16,17 @@
 // reported distinctly so callers can attribute "peer died" vs "peer is
 // slow" — the distinction the dist driver's failure reports are built on.
 //
+// Teardown follows one rule: shutdown → join → close. shutdown() wakes a
+// thread blocked in readFrame() (it observes EOF) and fails later sends,
+// but leaves the descriptor open; close() releases the descriptor and may
+// only run once no other thread can touch the connection — after its
+// reader has been joined (closeAfter() does all three), or on the reader's
+// own thread. Closing under a blocked recv() is a data race on the fd (and
+// the number may be reused by another socket before the reader wakes).
+//
 // Header-only on purpose: cmc_net links cmc_obs (trace stamping), and
-// cmc_obs's OpsClient needs this type, so an out-of-line definition in
-// either library would cycle.
+// cmc_obs's OpsServer/OpsClient need this type, so an out-of-line
+// definition in either library would cycle.
 #pragma once
 
 #include <arpa/inet.h>
@@ -32,6 +41,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/framing.hpp"
@@ -48,7 +58,8 @@ class FramedConn {
     poisoned,  // hostile length header: stream lost sync, hang up
   };
 
-  // Adopt a connected socket (server side of an accepted link).
+  // Adopt a connected socket. Frames are small and latency-sensitive on
+  // every protocol that rides them, so Nagle is off.
   explicit FramedConn(int fd) : fd_(fd) {
     int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -61,7 +72,8 @@ class FramedConn {
 
   // Connect to host:port; nullptr on failure. recv_timeout_ms bounds every
   // subsequent read (a response may legitimately never come — the peer
-  // discards corrupted request frames as loss — so reads must not hang).
+  // discards corrupted request frames as loss — so reads must not hang);
+  // 0 waits forever.
   [[nodiscard]] static std::unique_ptr<FramedConn> connect(
       const std::string& host, std::uint16_t port,
       std::int64_t recv_timeout_ms = 5'000) {
@@ -75,7 +87,7 @@ class FramedConn {
       ::close(fd);
       return nullptr;
     }
-    auto conn = std::unique_ptr<FramedConn>(new FramedConn(fd));
+    auto conn = std::make_unique<FramedConn>(fd);
     conn->setRecvTimeoutMs(recv_timeout_ms);
     return conn;
   }
@@ -112,7 +124,8 @@ class FramedConn {
 
   // Next complete frame body, or nullopt — inspect lastRead() to tell a
   // timeout from EOF from a poisoned stream. Decoder state (including a
-  // partially received frame) carries over between calls.
+  // partially received frame) carries over between calls. One reader at a
+  // time.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> readFrame() {
     if (fd_ < 0) {
       last_read_ = ReadStatus::closed;
@@ -139,22 +152,30 @@ class FramedConn {
                          : ReadStatus::closed;
         return std::nullopt;
       }
+      bytes_received_ += static_cast<std::uint64_t>(n);
       decoder_.feed(chunk, static_cast<std::size_t>(n));
     }
   }
 
   [[nodiscard]] ReadStatus lastRead() const noexcept { return last_read_; }
   [[nodiscard]] bool isOpen() const noexcept { return fd_ >= 0; }
+  // Reader-side tallies: frames skipped for checksum mismatch, and wire
+  // bytes received (headers and skipped frames included).
   [[nodiscard]] std::uint64_t corruptFrames() const noexcept {
     return decoder_.corruptFrames();
   }
+  [[nodiscard]] std::uint64_t bytesReceived() const noexcept {
+    return bytes_received_;
+  }
 
-  // Wake a reader blocked in readFrame() from another thread (it observes
-  // EOF); the fd itself stays owned until close()/destruction.
-  void shutdownNow() {
+  // Wake a reader blocked in readFrame() from any thread (it observes EOF)
+  // and make the peer see EOF; the descriptor stays owned until close().
+  void shutdown() {
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
 
+  // Release the descriptor. Only once no other thread uses the connection
+  // (see the header comment).
   void close() {
     std::lock_guard<std::mutex> lock(send_mutex_);
     if (fd_ >= 0) {
@@ -164,10 +185,18 @@ class FramedConn {
     }
   }
 
+  // The teardown rule in one call: wake `reader`, wait for it, then close.
+  void closeAfter(std::thread& reader) {
+    shutdown();
+    if (reader.joinable()) reader.join();
+    close();
+  }
+
  private:
   int fd_ = -1;
   RawFrameDecoder decoder_;
   ReadStatus last_read_ = ReadStatus::none;
+  std::uint64_t bytes_received_ = 0;
   std::mutex send_mutex_;
 };
 

@@ -1,22 +1,24 @@
-// Length-prefixed framing of ChannelMessages over a byte stream.
+// Length-prefixed framing over a byte stream: the one frame format of every
+// TCP link in this repo — signaling channels, the ops endpoint and the
+// distributed load plane.
 //
 // A signaling channel between physical components is typically TCP (paper
 // Section III-A): two-way, FIFO, reliable. TCP gives a byte stream, so
 // messages are delimited with an 8-byte header — a 4-byte little-endian
 // body length and a 4-byte FNV-1a checksum of the body — followed by the
-// ChannelMessage serialization from src/channel.
+// body bytes. Signaling frames carry a ChannelMessage serialization from
+// src/channel; the ops and dist protocols carry their own opaque bodies.
 //
-// The checksum guards the signaling plane against payload corruption
-// (faulty middlebox, bit rot in a relaying component): a frame whose body
-// fails the check is discarded as if the network had lost it — the
-// protocol already self-stabilizes under loss (docs/FAULTS.md) — rather
-// than poisoning the whole connection. Only a header that has plainly lost
-// sync (absurd length) or a checksum-valid body that still fails to parse
-// (a framing bug, not line noise) kills the stream.
+// The checksum guards against payload corruption (faulty middlebox, bit rot
+// in a relaying component): a frame whose body fails the check is discarded
+// as if the network had lost it — the protocols above already self-stabilize
+// or retry under loss (docs/FAULTS.md) — rather than poisoning the whole
+// connection. Only a header that has plainly lost sync (absurd length), or a
+// checksum-valid body that its protocol cannot parse (a framing bug, not line
+// noise), kills the stream.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -30,22 +32,39 @@ namespace cmc::net {
   return static_cast<std::uint32_t>(fnv1a(data, size));
 }
 
-// Encode one message as a frame: [length u32][checksum u32][body].
+// Encode one body as a frame: [length u32][checksum u32][body].
+[[nodiscard]] inline std::vector<std::uint8_t> encodeRawFrame(
+    const std::vector<std::uint8_t>& body) {
+  ByteWriter frame;
+  frame.u32(static_cast<std::uint32_t>(body.size()));
+  frame.u32(frameChecksum(body.data(), body.size()));
+  std::vector<std::uint8_t> out = frame.take();
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+// Encode one signaling message as a frame.
 [[nodiscard]] inline std::vector<std::uint8_t> encodeFrame(
     const ChannelMessage& message) {
   ByteWriter body;
   serialize(message, body);
-  const auto& b = body.bytes();
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(b.size()));
-  frame.u32(frameChecksum(b.data(), b.size()));
-  std::vector<std::uint8_t> out = frame.take();
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+  return encodeRawFrame(body.bytes());
 }
 
-// Incremental decoder: feed arbitrary byte chunks, pop whole messages.
-class FrameDecoder {
+// Parse a frame body as a signaling message; nullopt if it does not parse.
+[[nodiscard]] inline std::optional<ChannelMessage> decodeChannelMessage(
+    const std::vector<std::uint8_t>& body) {
+  ByteReader reader(body.data(), body.size());
+  return deserializeChannelMessage(reader);
+}
+
+// The frame decoder: feed arbitrary byte chunks, pop whole bodies in order.
+// A frame failing its checksum is skipped (corruptFrames() counts it) —
+// equivalent to network loss. A hostile length, or a poison() from the
+// protocol layer, marks the stream as out of sync (error()); from then on
+// next() returns nothing, whatever bytes follow, and the connection should
+// be dropped.
+class RawFrameDecoder {
  public:
   // Maximum accepted frame size; malformed/hostile lengths are rejected.
   static constexpr std::uint32_t kMaxFrame = 1 << 20;
@@ -54,13 +73,9 @@ class FrameDecoder {
     buffer_.insert(buffer_.end(), data, data + size);
   }
 
-  // Returns the next complete message, or nullopt if more bytes are needed.
-  // A frame failing its checksum is silently skipped (corruptFrames()
-  // counts it) — equivalent to network loss. A malformed frame that passes
-  // the checksum, or a hostile length, poisons the decoder (error()
-  // becomes true): the stream has lost sync and the connection should be
-  // dropped.
-  [[nodiscard]] std::optional<ChannelMessage> next() {
+  // Returns the next complete body, or nullopt if more bytes are needed
+  // (or the stream is poisoned).
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> next() {
     while (!error_ && buffer_.size() >= kHeaderSize) {
       const std::uint32_t length = readU32(0);
       const std::uint32_t checksum = readU32(4);
@@ -68,29 +83,25 @@ class FrameDecoder {
         error_ = true;
         return std::nullopt;
       }
-      if (buffer_.size() < kHeaderSize + static_cast<std::size_t>(length)) {
-        return std::nullopt;
-      }
+      const std::size_t frame_size = kHeaderSize + length;
+      if (buffer_.size() < frame_size) return std::nullopt;
       const std::uint8_t* body = buffer_.data() + kHeaderSize;
-      if (frameChecksum(body, length) != checksum) {
-        // Corrupted in transit: discard and let the protocol's
-        // stabilization machinery treat it as a lost signal.
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + kHeaderSize + length);
+      std::optional<std::vector<std::uint8_t>> out;
+      if (frameChecksum(body, length) == checksum) {
+        out.emplace(body, body + length);
+      } else {
         ++corrupt_frames_;
-        continue;
       }
-      ByteReader reader(body, length);
-      auto message = deserializeChannelMessage(reader);
-      buffer_.erase(buffer_.begin(), buffer_.begin() + kHeaderSize + length);
-      if (!message) {
-        error_ = true;
-        return std::nullopt;
-      }
-      return message;
+      buffer_.erase(buffer_.begin(),
+                    buffer_.begin() + static_cast<std::ptrdiff_t>(frame_size));
+      if (out) return out;
     }
     return std::nullopt;
   }
+
+  // A checksum-valid body that its protocol cannot parse: the stream has
+  // lost sync just as surely as after a hostile length.
+  void poison() noexcept { error_ = true; }
 
   [[nodiscard]] bool error() const noexcept { return error_; }
   [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
@@ -115,83 +126,33 @@ class FrameDecoder {
   std::uint64_t corrupt_frames_ = 0;
 };
 
-// ---------------------------------------------------------------- raw frames
-// The same [length u32][checksum u32][body] header carries protocols other
-// than ChannelMessage: the read-only ops/telemetry plane (obs/ops_server)
-// frames opaque request/response byte bodies. Semantics match FrameDecoder:
-// a checksum mismatch discards the frame as if the network lost it, a
-// hostile length poisons the stream.
-
-[[nodiscard]] inline std::vector<std::uint8_t> encodeRawFrame(
-    const std::uint8_t* body, std::size_t size) {
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(size));
-  frame.u32(frameChecksum(body, size));
-  std::vector<std::uint8_t> out = frame.take();
-  out.insert(out.end(), body, body + size);
-  return out;
-}
-
-[[nodiscard]] inline std::vector<std::uint8_t> encodeRawFrame(
-    const std::vector<std::uint8_t>& body) {
-  return encodeRawFrame(body.data(), body.size());
-}
-
-// Incremental decoder for raw-body frames: feed arbitrary byte chunks, pop
-// whole bodies. Corrupt frames are skipped and counted; an absurd length
-// marks the stream poisoned (error()) — the connection should be dropped.
-class RawFrameDecoder {
+// The same decoder viewed as a stream of signaling messages: each body is
+// parsed with decodeChannelMessage, and a body that does not parse poisons
+// the stream.
+class FrameDecoder {
  public:
-  static constexpr std::uint32_t kMaxFrame = FrameDecoder::kMaxFrame;
+  static constexpr std::uint32_t kMaxFrame = RawFrameDecoder::kMaxFrame;
 
   void feed(const std::uint8_t* data, std::size_t size) {
-    buffer_.insert(buffer_.end(), data, data + size);
+    raw_.feed(data, size);
   }
 
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> next() {
-    while (!error_ && buffer_.size() >= kHeaderSize) {
-      const std::uint32_t length = readU32(0);
-      const std::uint32_t checksum = readU32(4);
-      if (length > kMaxFrame) {
-        error_ = true;
-        return std::nullopt;
-      }
-      if (buffer_.size() < kHeaderSize + static_cast<std::size_t>(length)) {
-        return std::nullopt;
-      }
-      const std::uint8_t* body = buffer_.data() + kHeaderSize;
-      if (frameChecksum(body, length) != checksum) {
-        buffer_.erase(buffer_.begin(), buffer_.begin() + kHeaderSize + length);
-        ++corrupt_frames_;
-        continue;
-      }
-      std::vector<std::uint8_t> out(body, body + length);
-      buffer_.erase(buffer_.begin(), buffer_.begin() + kHeaderSize + length);
-      return out;
-    }
-    return std::nullopt;
+  [[nodiscard]] std::optional<ChannelMessage> next() {
+    auto body = raw_.next();
+    if (!body) return std::nullopt;
+    auto message = decodeChannelMessage(*body);
+    if (!message) raw_.poison();
+    return message;
   }
 
-  [[nodiscard]] bool error() const noexcept { return error_; }
-  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
+  [[nodiscard]] bool error() const noexcept { return raw_.error(); }
+  [[nodiscard]] std::size_t buffered() const noexcept { return raw_.buffered(); }
   [[nodiscard]] std::uint64_t corruptFrames() const noexcept {
-    return corrupt_frames_;
+    return raw_.corruptFrames();
   }
 
  private:
-  static constexpr std::size_t kHeaderSize = 8;
-
-  [[nodiscard]] std::uint32_t readU32(std::size_t offset) const noexcept {
-    std::uint32_t value = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      value |= static_cast<std::uint32_t>(buffer_[offset + i]) << (8 * i);
-    }
-    return value;
-  }
-
-  std::vector<std::uint8_t> buffer_;
-  bool error_ = false;
-  std::uint64_t corrupt_frames_ = 0;
+  RawFrameDecoder raw_;
 };
 
 }  // namespace cmc::net

@@ -1,12 +1,5 @@
 #include "net/tcp_transport.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <variant>
 
 #include "obs/metrics.hpp"
@@ -15,16 +8,10 @@
 
 namespace cmc::net {
 
-TcpSignalingPeer::TcpSignalingPeer(int fd) : fd_(fd) {
-  // Signaling is latency-sensitive and messages are tiny: disable Nagle.
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
+TcpSignalingPeer::TcpSignalingPeer(std::unique_ptr<FramedConn> conn)
+    : conn_(std::move(conn)) {}
 
-TcpSignalingPeer::~TcpSignalingPeer() {
-  close();
-  if (reader_.joinable()) reader_.join();
-}
+TcpSignalingPeer::~TcpSignalingPeer() { conn_->closeAfter(reader_); }
 
 void TcpSignalingPeer::start(MessageHandler on_message, ClosedHandler on_closed) {
   on_message_ = std::move(on_message);
@@ -60,16 +47,9 @@ bool TcpSignalingPeer::send(const ChannelMessage& message) {
       m->counter("net.frames_corrupted").add();
     }
   }
-  std::lock_guard<std::mutex> lock(send_mutex_);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      open_.store(false);
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!conn_->sendBytes(frame)) {
+    open_.store(false);
+    return false;
   }
   if (obs::MetricsRegistry* m = obs::metrics()) {
     m->counter("net.frames_sent").add();
@@ -79,93 +59,50 @@ bool TcpSignalingPeer::send(const ChannelMessage& message) {
 }
 
 void TcpSignalingPeer::close() {
-  bool was_open = open_.exchange(false);
-  if (was_open) {
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-  }
+  if (open_.exchange(false)) conn_->shutdown();
 }
 
 void TcpSignalingPeer::readLoop() {
-  FrameDecoder decoder;
+  std::uint64_t bytes_seen = 0;
   std::uint64_t corrupt_seen = 0;
-  std::uint8_t chunk[4096];
   while (open_.load()) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    decoder.feed(chunk, static_cast<std::size_t>(n));
-    obs::MetricsRegistry* m = obs::metrics();
-    if (m != nullptr) m->counter("net.bytes_received").add(static_cast<std::uint64_t>(n));
-    while (auto message = decoder.next()) {
-      if (m != nullptr) m->counter("net.frames_received").add();
-      if (on_message_) on_message_(*message);
-    }
-    if (decoder.corruptFrames() > corrupt_seen) {
-      if (m != nullptr) {
-        m->counter("net.frames_rejected_checksum")
-            .add(decoder.corruptFrames() - corrupt_seen);
+    auto body = conn_->readFrame();
+    if (obs::MetricsRegistry* m = obs::metrics()) {
+      // Wire bytes (headers, corrupt and partial frames included) and
+      // checksum rejects since the previous read.
+      if (const auto n = conn_->bytesReceived() - bytes_seen; n > 0) {
+        m->counter("net.bytes_received").add(n);
       }
-      corrupt_seen = decoder.corruptFrames();
+      if (const auto n = conn_->corruptFrames() - corrupt_seen; n > 0) {
+        m->counter("net.frames_rejected_checksum").add(n);
+      }
     }
-    if (decoder.error()) {
+    bytes_seen = conn_->bytesReceived();
+    corrupt_seen = conn_->corruptFrames();
+    if (!body && conn_->lastRead() != FramedConn::ReadStatus::poisoned) break;
+    auto message = body ? decodeChannelMessage(*body) : std::nullopt;
+    if (!message) {
+      // Hostile length, or a checksum-valid body that does not parse: the
+      // stream has lost sync.
       log::warn("net", "malformed frame; dropping connection");
       break;
     }
+    if (obs::MetricsRegistry* m = obs::metrics()) {
+      m->counter("net.frames_received").add();
+    }
+    if (on_message_) on_message_(*message);
   }
   open_.store(false);
+  conn_->shutdown();
   if (on_closed_) on_closed_();
 }
 
 std::unique_ptr<TcpSignalingPeer> TcpSignalingPeer::connect(
     const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return nullptr;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return nullptr;
-  }
-  return std::make_unique<TcpSignalingPeer>(fd);
-}
-
-TcpSignalingListener::TcpSignalingListener(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return;
-  int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd_, 8) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  }
-}
-
-TcpSignalingListener::~TcpSignalingListener() { close(); }
-
-std::unique_ptr<TcpSignalingPeer> TcpSignalingListener::acceptOne() {
-  if (fd_ < 0) return nullptr;
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) return nullptr;
-  return std::make_unique<TcpSignalingPeer>(client);
-}
-
-void TcpSignalingListener::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // No receive timeout: a signaling channel may stay quiet indefinitely.
+  auto conn = FramedConn::connect(host, port, /*recv_timeout_ms=*/0);
+  if (!conn) return nullptr;
+  return std::make_unique<TcpSignalingPeer>(std::move(conn));
 }
 
 }  // namespace cmc::net

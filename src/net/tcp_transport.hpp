@@ -1,25 +1,25 @@
 // TCP realization of a signaling channel (paper Fig. 1: signaling rides a
 // reliable transport between boxes in different physical components).
 //
-// A TcpSignalingPeer owns one connected socket. Sends are synchronous and
-// serialized; receives run on a background reader thread that decodes
-// frames and hands complete ChannelMessages to the registered callback.
-// FIFO and reliability come from TCP itself, satisfying the signaling-
-// channel contract of Section III-A.
+// A TcpSignalingPeer is a net::FramedConn plus a background reader thread:
+// sends are synchronous and serialized by the connection, and the reader
+// decodes frames and hands complete ChannelMessages to the registered
+// callback. FIFO and reliability come from TCP itself, satisfying the
+// signaling-channel contract of Section III-A. The accepting side gets its
+// connections from a net::Listener.
 //
-// TcpSignalingListener accepts incoming connections on a loopback/port and
-// produces peers. Both are intentionally small: the protocol and goal
-// machinery neither know nor care whether their tunnel is an in-process
-// deque (ChannelState), a simulated link, or this socket.
+// The peer is intentionally small: the protocol and goal machinery neither
+// know nor care whether their tunnel is an in-process deque
+// (ChannelState), a simulated link, or this socket.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <thread>
 
-#include "net/framing.hpp"
+#include "net/framed_rpc.hpp"
 
 namespace cmc::net {
 
@@ -28,19 +28,22 @@ class TcpSignalingPeer {
   using MessageHandler = std::function<void(const ChannelMessage&)>;
   using ClosedHandler = std::function<void()>;
 
-  // Takes ownership of a connected socket fd.
-  explicit TcpSignalingPeer(int fd);
+  // Takes ownership of a connected socket (e.g. from Listener::accept()).
+  explicit TcpSignalingPeer(std::unique_ptr<FramedConn> conn);
   ~TcpSignalingPeer();
 
   TcpSignalingPeer(const TcpSignalingPeer&) = delete;
   TcpSignalingPeer& operator=(const TcpSignalingPeer&) = delete;
 
-  // Register handlers and start the reader thread. Call once.
+  // Register handlers and start the reader thread. Call once. on_closed
+  // runs once, on the reader thread, when the connection ends.
   void start(MessageHandler on_message, ClosedHandler on_closed = nullptr);
 
   // Send a message; thread-safe. Returns false if the connection is gone.
   bool send(const ChannelMessage& message);
 
+  // Hang up: the far end sees EOF and this peer's reader stops. Callable
+  // from any thread, including a handler.
   void close();
   [[nodiscard]] bool isOpen() const noexcept { return open_.load(); }
 
@@ -59,37 +62,13 @@ class TcpSignalingPeer {
  private:
   void readLoop();
 
-  int fd_;
+  std::unique_ptr<FramedConn> conn_;
   std::atomic<bool> open_{true};
   std::atomic<bool> drop_next_{false};
   std::atomic<bool> corrupt_next_{false};
-  std::mutex send_mutex_;
   MessageHandler on_message_;
   ClosedHandler on_closed_;
   std::thread reader_;
-};
-
-class TcpSignalingListener {
- public:
-  // Bind and listen on 127.0.0.1:port (port 0 picks a free port).
-  explicit TcpSignalingListener(std::uint16_t port);
-  ~TcpSignalingListener();
-
-  TcpSignalingListener(const TcpSignalingListener&) = delete;
-  TcpSignalingListener& operator=(const TcpSignalingListener&) = delete;
-
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-  [[nodiscard]] bool ok() const noexcept { return fd_ >= 0; }
-
-  // Block until one connection arrives (or the listener is closed);
-  // returns the connected peer or nullptr.
-  [[nodiscard]] std::unique_ptr<TcpSignalingPeer> acceptOne();
-
-  void close();
-
- private:
-  int fd_ = -1;
-  std::uint16_t port_ = 0;
 };
 
 }  // namespace cmc::net

@@ -1,16 +1,7 @@
 #include "obs/ops_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <exception>
 
-#include "net/framed_rpc.hpp"
-#include "net/framing.hpp"
 #include "util/bytes.hpp"
 #include "util/log.hpp"
 
@@ -18,56 +9,24 @@ namespace cmc::obs {
 
 namespace {
 
-bool sendAll(int fd, const std::vector<std::uint8_t>& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 std::vector<std::uint8_t> encodeResponse(bool ok, std::string_view ctype,
                                          std::string_view payload) {
   ByteWriter body;
   body.u8(ok ? 0 : 1);
   body.str(ctype);
   body.str(payload);
-  return net::encodeRawFrame(body.bytes());
+  return body.take();
 }
 
 }  // namespace
 
 struct OpsServer::Session {
-  int fd = -1;
+  std::unique_ptr<net::FramedConn> conn;
   std::thread thread;
   std::atomic<bool> done{false};
 };
 
-OpsServer::OpsServer(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return;
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 8) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-}
+OpsServer::OpsServer(std::uint16_t port) : listener_(port) {}
 
 OpsServer::~OpsServer() { stop(); }
 
@@ -78,37 +37,21 @@ void OpsServer::handle(std::string verb, std::string content_type,
 }
 
 void OpsServer::start() {
-  if (listen_fd_ < 0 || running_.exchange(true)) return;
+  if (!listener_.ok() || running_.exchange(true)) return;
   acceptor_ = std::thread([this]() { acceptLoop(); });
 }
 
 void OpsServer::stop() {
-  if (!running_.exchange(false)) {
-    // Never started (or already stopped): still close the listener.
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    return;
-  }
-  // shutdown() wakes the blocked accept(); the fd is closed and cleared
-  // only once the acceptor, which reads listen_fd_, has exited.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  running_.store(false);
+  listener_.shutdown();
   if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.close();
   std::vector<std::unique_ptr<Session>> sessions;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     sessions.swap(sessions_);
   }
-  for (auto& session : sessions) {
-    ::shutdown(session->fd, SHUT_RDWR);
-    if (session->thread.joinable()) session->thread.join();
-    ::close(session->fd);
-  }
+  for (auto& session : sessions) session->conn->closeAfter(session->thread);
 }
 
 std::uint64_t OpsServer::requestsServed() const noexcept {
@@ -123,59 +66,41 @@ std::uint64_t OpsServer::errorsServed() const noexcept {
 
 void OpsServer::acceptLoop() {
   while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) break;  // listener closed by stop()
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    auto conn = listener_.accept();
+    if (!conn) break;  // listener shut down by stop()
     auto session = std::make_unique<Session>();
-    session->fd = fd;
+    session->conn = std::move(conn);
     Session* raw = session.get();
     session->thread = std::thread([this, raw]() {
-      serveConnection(raw->fd);
+      serveConnection(*raw->conn);
       raw->done.store(true);
     });
     std::lock_guard<std::mutex> lock(mutex_);
     // Reap finished sessions so a polling client that reconnects every
     // interval does not grow the list without bound.
-    for (std::size_t i = 0; i < sessions_.size();) {
-      if (sessions_[i]->done.load()) {
-        if (sessions_[i]->thread.joinable()) sessions_[i]->thread.join();
-        ::close(sessions_[i]->fd);
-        sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
+    std::erase_if(sessions_, [](const std::unique_ptr<Session>& s) {
+      if (!s->done.load()) return false;
+      s->conn->closeAfter(s->thread);
+      return true;
+    });
     sessions_.push_back(std::move(session));
   }
 }
 
-void OpsServer::serveConnection(int fd) {
-  net::RawFrameDecoder decoder;
-  std::uint8_t chunk[4096];
-  bool serving = true;
-  while (serving && running_.load()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    decoder.feed(chunk, static_cast<std::size_t>(n));
-    while (auto request = decoder.next()) {
-      if (!sendAll(fd, respond(*request))) {
-        serving = false;
-        break;
-      }
-    }
-    if (decoder.error()) {
-      // Hostile length header: the stream has lost sync; there is no way
-      // to even frame an error response, so drop the connection. The
-      // listener keeps serving other clients.
-      log::warn("ops", "malformed frame header; dropping ops connection");
-      serving = false;
-    }
+void OpsServer::serveConnection(net::FramedConn& conn) {
+  while (auto request = conn.readFrame()) {
+    if (!conn.sendFrame(respond(*request))) break;
   }
-  // The fd itself is closed when the session is reaped (or at stop());
-  // shut it down now so the peer sees EOF instead of waiting out a
+  if (conn.lastRead() == net::FramedConn::ReadStatus::poisoned) {
+    // Hostile length header: the stream has lost sync; there is no way to
+    // even frame an error response, so drop the connection. The listener
+    // keeps serving other clients.
+    log::warn("ops", "malformed frame header; dropping ops connection");
+  }
+  // The descriptor itself is closed when the session is reaped (or at
+  // stop()); shut it down now so the peer sees EOF instead of waiting out a
   // receive timeout.
-  ::shutdown(fd, SHUT_RDWR);
+  conn.shutdown();
 }
 
 std::vector<std::uint8_t> OpsServer::respond(

@@ -1,4 +1,5 @@
-// Read-only ops endpoint over the framed-TCP transport (net/framing.hpp).
+// Read-only ops endpoint over the framed-TCP transport (net/framing.hpp,
+// net/framed_rpc.hpp, net/listener.hpp).
 //
 // Long-running hosts — a sharded soak, eventually a multi-process load
 // coordinator — need to answer "how is it going" while they run. OpsServer
@@ -34,9 +35,7 @@
 #include <thread>
 #include <vector>
 
-namespace cmc::net {
-class FramedConn;
-}
+#include "net/listener.hpp"
 
 namespace cmc::obs {
 
@@ -54,8 +53,8 @@ class OpsServer {
   OpsServer(const OpsServer&) = delete;
   OpsServer& operator=(const OpsServer&) = delete;
 
-  [[nodiscard]] bool ok() const noexcept { return listen_fd_ >= 0; }
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] bool ok() const noexcept { return listener_.ok(); }
+  [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
   // Register a verb (before start()).
   void handle(std::string verb, std::string content_type, Handler handler);
@@ -70,12 +69,11 @@ class OpsServer {
   struct Session;
 
   void acceptLoop();
-  void serveConnection(int fd);
+  void serveConnection(net::FramedConn& conn);
   [[nodiscard]] std::vector<std::uint8_t> respond(
       const std::vector<std::uint8_t>& request);
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
+  net::Listener listener_;
   std::atomic<bool> running_{false};
   std::thread acceptor_;
   mutable std::mutex mutex_;  // sessions_ + verb table + stats

@@ -3,10 +3,14 @@
 // talking over real sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
+#include <cstring>
 #include <future>
+#include <random>
 
 #include "core/goal.hpp"
+#include "net/listener.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/context.hpp"
 #include "obs/trace.hpp"
@@ -179,20 +183,281 @@ TEST(Framing, ChecksumCatchesHeaderLengthCorruption) {
   EXPECT_EQ(decoder.corruptFrames(), 1u);
 }
 
+// ----------------------------------------------------------- mutation
+// Seeded, structure-aware mutation of valid multi-frame streams: byte
+// flips, truncations, length-header edits (+-1 and beyond kMaxFrame),
+// splices of two streams, inserted junk and random chunk splits. None of
+// them reorders the frames that survive, so whatever the damage the decoder
+// may only yield bodies that were encoded, in stream order, and once
+// poisoned it stays silent even for valid bytes.
+
+using Bytes = std::vector<std::uint8_t>;
+
+struct EncodedStream {
+  Bytes bytes;
+  std::vector<std::size_t> frame_starts;  // header offsets into bytes
+  std::vector<Bytes> bodies;              // in stream order
+};
+
+std::size_t below(std::mt19937_64& rng, std::size_t n) {
+  return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+}
+
+void appendFrame(EncodedStream& stream, const Bytes& body) {
+  stream.frame_starts.push_back(stream.bytes.size());
+  const Bytes frame = encodeRawFrame(body);
+  stream.bytes.insert(stream.bytes.end(), frame.begin(), frame.end());
+  stream.bodies.push_back(body);
+}
+
+Bytes randomBody(std::mt19937_64& rng) {
+  Bytes body(below(rng, 97));
+  for (auto& byte : body) byte = static_cast<std::uint8_t>(rng());
+  return body;
+}
+
+Bytes messageBody(std::mt19937_64& rng) {
+  const auto id = static_cast<std::uint32_t>(below(rng, 8));
+  ChannelMessage message;
+  switch (below(rng, 4)) {
+    case 0:
+      message =
+          TunnelSignal{id, OpenSignal{Medium::audio, desc(1 + below(rng, 50))}};
+      break;
+    case 1:
+      message = TunnelSignal{id, CloseSignal{}};
+      break;
+    case 2: {
+      TunnelSignal stamped{id, CloseAckSignal{}};
+      stamped.ctx = obs::TraceContext{rng() | 1, rng() | 1};
+      message = stamped;
+      break;
+    }
+    default:
+      message = MetaSignal{MetaKind::custom, "tag" + std::to_string(id), "v"};
+      break;
+  }
+  ByteWriter body;
+  serialize(message, body);
+  return body.take();
+}
+
+void mutate(EncodedStream& stream, const EncodedStream& donor,
+            std::mt19937_64& rng) {
+  const std::size_t count = 1 + below(rng, 3);
+  for (std::size_t i = 0; i < count && !stream.bytes.empty(); ++i) {
+    Bytes& bytes = stream.bytes;
+    switch (below(rng, 5)) {
+      case 0:  // flip one byte anywhere: header or body
+        bytes[below(rng, bytes.size())] ^=
+            static_cast<std::uint8_t>(1 + below(rng, 255));
+        break;
+      case 1:  // truncate
+        bytes.resize(below(rng, bytes.size()));
+        break;
+      case 2: {  // edit one frame's length header
+        const std::size_t at =
+            stream.frame_starts[below(rng, stream.frame_starts.size())];
+        if (at + 4 > bytes.size()) break;
+        std::uint32_t length = 0;
+        std::memcpy(&length, &bytes[at], 4);  // little-endian host
+        switch (below(rng, 3)) {
+          case 0: length += 1; break;
+          case 1: length -= 1; break;  // 0 wraps to far beyond kMaxFrame
+          default:
+            length = RawFrameDecoder::kMaxFrame + 1 +
+                     static_cast<std::uint32_t>(below(rng, 1u << 20));
+        }
+        std::memcpy(&bytes[at], &length, 4);
+        break;
+      }
+      case 3: {  // splice: our head, then the donor's tail
+        const std::size_t cut = below(rng, bytes.size() + 1);
+        const std::size_t from = below(rng, donor.bytes.size() + 1);
+        bytes.resize(cut);
+        bytes.insert(bytes.end(),
+                     donor.bytes.begin() + static_cast<std::ptrdiff_t>(from),
+                     donor.bytes.end());
+        std::erase_if(stream.frame_starts,
+                      [cut](std::size_t at) { return at >= cut; });
+        for (std::size_t at : donor.frame_starts) {
+          if (at >= from) stream.frame_starts.push_back(cut + at - from);
+        }
+        stream.bodies.insert(stream.bodies.end(), donor.bodies.begin(),
+                             donor.bodies.end());
+        break;
+      }
+      default: {  // insert up to 12 junk bytes
+        const std::size_t at = below(rng, bytes.size() + 1);
+        Bytes junk = randomBody(rng);
+        junk.resize(std::min<std::size_t>(junk.size(), 12));
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                     junk.begin(), junk.end());
+        for (std::size_t& start : stream.frame_starts) {
+          if (start >= at) start += junk.size();
+        }
+        break;
+      }
+    }
+  }
+}
+
+// Chunk sizes that split `size` bytes at random points.
+std::vector<std::size_t> chunking(std::size_t size, std::mt19937_64& rng) {
+  std::vector<std::size_t> chunks;
+  for (std::size_t fed = 0; fed < size;) {
+    const std::size_t n = std::min(size - fed, 1 + below(rng, 24));
+    chunks.push_back(n);
+    fed += n;
+  }
+  return chunks;
+}
+
+// Feed `bytes` in `chunks`, popping after every chunk; a poisoned decoder
+// must never yield again.
+template <typename Decoder, typename Out>
+void feedAll(Decoder& decoder, const Bytes& bytes,
+             const std::vector<std::size_t>& chunks, std::vector<Out>& out) {
+  std::size_t fed = 0;
+  for (std::size_t n : chunks) {
+    const bool poisoned_before = decoder.error();
+    decoder.feed(bytes.data() + fed, n);
+    fed += n;
+    while (auto item = decoder.next()) {
+      ASSERT_FALSE(poisoned_before) << "yielded after poisoning";
+      out.push_back(std::move(*item));
+    }
+  }
+}
+
+bool isSubsequence(const std::vector<Bytes>& got,
+                   const std::vector<Bytes>& encoded) {
+  auto it = encoded.begin();
+  for (const Bytes& body : got) {
+    it = std::find(it, encoded.end(), body);
+    if (it == encoded.end()) return false;
+    ++it;
+  }
+  return true;
+}
+
+EncodedStream randomStream(std::mt19937_64& rng,
+                           Bytes (*makeBody)(std::mt19937_64&)) {
+  EncodedStream stream;
+  const std::size_t frames = 1 + below(rng, 6);
+  for (std::size_t f = 0; f < frames; ++f) appendFrame(stream, makeBody(rng));
+  return stream;
+}
+
+TEST(FramingMutation, RawStreamsYieldOnlyEncodedBodiesInOrder) {
+  std::mt19937_64 rng(0x5eed'f4a3'e000'0001ULL);
+  const Bytes valid_tail = encodeRawFrame(Bytes{1, 2, 3});
+  std::size_t poisoned = 0, with_corrupt = 0, yielded = 0;
+  for (int round = 0; round < 3000; ++round) {
+    EncodedStream stream = randomStream(rng, randomBody);
+    const EncodedStream donor = randomStream(rng, randomBody);
+    mutate(stream, donor, rng);
+
+    RawFrameDecoder decoder;
+    std::vector<Bytes> got;
+    feedAll(decoder, stream.bytes, chunking(stream.bytes.size(), rng), got);
+    ASSERT_TRUE(isSubsequence(got, stream.bodies)) << "round " << round;
+    yielded += got.size();
+    if (decoder.corruptFrames() > 0) ++with_corrupt;
+    if (decoder.error()) {
+      ++poisoned;
+      decoder.feed(valid_tail.data(), valid_tail.size());
+      ASSERT_FALSE(decoder.next().has_value()) << "round " << round;
+      ASSERT_TRUE(decoder.error());
+    }
+  }
+  // The mutations reach every outcome: clean frames, skipped corrupt
+  // frames and poisoned streams.
+  EXPECT_GT(yielded, 1000u);
+  EXPECT_GT(with_corrupt, 100u);
+  EXPECT_GT(poisoned, 100u);
+}
+
+TEST(FramingMutation, HostileLengthEndsTheStreamExactlyAtItsFrame) {
+  std::mt19937_64 rng(0x5eed'f4a3'e000'0003ULL);
+  for (int round = 0; round < 500; ++round) {
+    EncodedStream stream = randomStream(rng, randomBody);
+    const std::size_t k = below(rng, stream.frame_starts.size());
+    const auto length = static_cast<std::uint32_t>(
+        RawFrameDecoder::kMaxFrame + 1 +
+        below(rng, 0xFFFF'FFFFull - RawFrameDecoder::kMaxFrame));
+    std::memcpy(&stream.bytes[stream.frame_starts[k]], &length, 4);
+
+    RawFrameDecoder decoder;
+    std::vector<Bytes> got;
+    feedAll(decoder, stream.bytes, chunking(stream.bytes.size(), rng), got);
+    const std::vector<Bytes> before(stream.bodies.begin(),
+                                    stream.bodies.begin() +
+                                        static_cast<std::ptrdiff_t>(k));
+    EXPECT_EQ(got, before) << "round " << round << ", length " << length;
+    EXPECT_TRUE(decoder.error()) << "round " << round << ", length " << length;
+  }
+}
+
+TEST(FramingMutation, MessageStreamsMatchTheRawDecoderAndPoisonOnGarbage) {
+  std::mt19937_64 rng(0x5eed'f4a3'e000'0002ULL);
+  const Bytes unparseable{0xee, 0, 0};  // checksum-valid, invalid message tag
+  std::size_t poisoned_by_parse = 0, messages = 0;
+  for (int round = 0; round < 1500; ++round) {
+    EncodedStream stream = randomStream(rng, messageBody);
+    if (below(rng, 4) == 0) appendFrame(stream, unparseable);
+    const EncodedStream donor = randomStream(rng, messageBody);
+    if (below(rng, 2) == 0) mutate(stream, donor, rng);
+
+    // Identical chunking through both views of the one decoder.
+    const auto chunks = chunking(stream.bytes.size(), rng);
+    RawFrameDecoder raw;
+    std::vector<Bytes> bodies;
+    feedAll(raw, stream.bytes, chunks, bodies);
+    FrameDecoder decoder;
+    std::vector<ChannelMessage> got;
+    feedAll(decoder, stream.bytes, chunks, got);
+    ASSERT_TRUE(isSubsequence(bodies, stream.bodies)) << "round " << round;
+
+    // The message view yields the raw bodies' parses up to the first body
+    // that does not parse, and is poisoned from there on.
+    std::size_t parsed = 0;
+    bool hit_garbage = false;
+    for (const Bytes& body : bodies) {
+      const auto message = decodeChannelMessage(body);
+      if (!message) {
+        hit_garbage = true;
+        break;
+      }
+      ASSERT_LT(parsed, got.size()) << "round " << round;
+      EXPECT_EQ(got[parsed], *message) << "round " << round;
+      ++parsed;
+    }
+    ASSERT_EQ(got.size(), parsed) << "round " << round;
+    EXPECT_EQ(decoder.error(), raw.error() || hit_garbage) << "round " << round;
+    EXPECT_EQ(decoder.corruptFrames(), raw.corruptFrames());
+    messages += parsed;
+    if (hit_garbage) ++poisoned_by_parse;
+  }
+  EXPECT_GT(messages, 1000u);
+  EXPECT_GT(poisoned_by_parse, 100u);
+}
+
 class LoopbackPair : public ::testing::Test {
  protected:
   void SetUp() override {
-    listener_ = std::make_unique<TcpSignalingListener>(0);
+    listener_ = std::make_unique<Listener>(0);
     ASSERT_TRUE(listener_->ok());
     auto accepted = std::async(std::launch::async,
-                               [this]() { return listener_->acceptOne(); });
+                               [this]() { return listener_->accept(); });
     client_ = TcpSignalingPeer::connect("127.0.0.1", listener_->port());
     ASSERT_NE(client_, nullptr);
-    server_ = accepted.get();
-    ASSERT_NE(server_, nullptr);
+    auto conn = accepted.get();
+    ASSERT_NE(conn, nullptr);
+    server_ = std::make_unique<TcpSignalingPeer>(std::move(conn));
   }
 
-  std::unique_ptr<TcpSignalingListener> listener_;
+  std::unique_ptr<Listener> listener_;
   std::unique_ptr<TcpSignalingPeer> client_;
   std::unique_ptr<TcpSignalingPeer> server_;
 };
