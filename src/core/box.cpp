@@ -313,6 +313,15 @@ Box::Output Box::drainOutput() {
   return out;
 }
 
+void Box::drainOutputInto(Output& out) {
+  out.tunnel.clear();
+  out.meta.clear();
+  out.timers.clear();
+  out.channelRequests.clear();
+  out.teardowns.clear();
+  std::swap(out, output_);
+}
+
 void Box::setSlotMute(SlotId slot, bool mute_in, bool mute_out) {
   auto it = single_goals_.find(slot);
   if (it == single_goals_.end()) return;

@@ -149,6 +149,10 @@ class Box {
   };
   // Drain everything the box decided to do since the last drain.
   [[nodiscard]] Output drainOutput();
+  // The same into a caller-owned buffer: `out` is cleared and swapped with
+  // the pending output, so a host draining every box through one buffer
+  // reuses vector capacity instead of allocating per drain.
+  void drainOutputInto(Output& out);
 
   // Endpoint modify passthroughs (mute change, address migration, and
   // unilateral codec re-selection); no-ops for slots without a single-slot

@@ -59,6 +59,121 @@ bool leakFree(const Box* box) {
   return box == nullptr || (box->slotCount() == 0 && box->goalCount() == 0);
 }
 
+// Feeds a shard's calls into its event loop one arrival at a time (the
+// lifecycle in sharded_runtime.hpp). Only the next arrival is queued; each
+// arrival queues its own hang-up and leak audit, then the next call's
+// arrival, so the loop holds in-flight work only and its size does not grow
+// with the number of calls in the shard.
+class CallFeeder {
+ public:
+  CallFeeder(Simulator& sim, obs::MetricsRegistry& metrics,
+             const LoadConfig& config)
+      : sim_(sim), metrics_(metrics), config_(config) {}
+
+  // Queue the first arrival of `calls`, which must outlive the run.
+  void start(std::deque<CallRuntime>& calls) {
+    // Arrival order, calls sharing an instant in the order given: the
+    // order in which queuing every arrival up front would fire them.
+    order_.reserve(calls.size());
+    for (CallRuntime& call : calls) order_.push_back(&call);
+    std::stable_sort(order_.begin(), order_.end(),
+                     [](const CallRuntime* a, const CallRuntime* b) {
+                       return a->spec.arrival < b->spec.arrival;
+                     });
+    if (!order_.empty()) scheduleArrival(0);
+  }
+
+ private:
+  void scheduleArrival(std::size_t index) {
+    sim_.loop().scheduleAt(order_[index]->spec.arrival,
+                           [this, index]() { arrive(index); });
+  }
+
+  void arrive(std::size_t index) {
+    CallRuntime& call = *order_[index];
+    const std::string probe = call.spec.probeName();
+    // Live lifecycle metrics, written unconditionally (sampler or not) so
+    // the rollup stays byte-identical either way. The gauge is shard-local
+    // (excluded from the rollup); the counters are additive and shard-count
+    // invariant — each call arrives exactly once.
+    metrics_.counter("load.call_arrivals").add(1);
+    metrics_.gauge("load.armed_probes").add(1);
+
+    // The call's own later events go first, so at an equal instant they
+    // still fire ahead of everything the call's dial sets in motion.
+    const SimTime teardown_at =
+        call.spec.arrival + config_.setup_grace + call.spec.hold;
+    sim_.loop().scheduleAt(teardown_at,
+                           [this, &call, probe]() { hangUp(call, probe); });
+    sim_.loop().scheduleAt(teardown_at + config_.teardown_grace,
+                           [this, &call, probe]() { audit(call, probe); });
+    if (index + 1 < order_.size()) scheduleArrival(index + 1);
+
+    auto& left = sim_.addBox<LoadEndpointBox>(call.spec.leftName(),
+                                              call.spec.left, PathEnd::left);
+    auto& right = sim_.addBox<LoadEndpointBox>(
+        call.spec.rightName(), call.spec.right, PathEnd::right);
+    call.left = &left;
+    call.right = &right;
+    obs::ConvergenceProbes::Watch watch{left.id().value(),
+                                        right.id().value()};
+    std::string target = call.spec.rightName();
+    if (call.spec.flowlinks > 0) {
+      auto& relay = sim_.addBox<LoadRelayBox>(call.spec.relayName(),
+                                              call.spec.rightName());
+      call.relay = &relay;
+      watch.push_back(relay.id().value());
+      target = call.spec.relayName();
+    }
+    sim_.inject(call.spec.leftName(), [target](Box& box) {
+      static_cast<LoadEndpointBox&>(box).dial(target);
+    });
+    const std::int64_t deadline =
+        config_.setup_deadline_us > 0 ? sim_.nowUs() + config_.setup_deadline_us
+                                      : 0;
+    // atRest reads only the call's own boxes (and its torn_down flag, set
+    // after the probe is disarmed), so the probe watches just those.
+    sim_.probes().arm(probe, "call_setup", sim_.nowUs(),
+                      [&call]() { return atRest(call); }, deadline,
+                      std::move(watch));
+  }
+
+  void hangUp(CallRuntime& call, const std::string& probe) {
+    // Final verdict for this call's probe (it may be past its watchdog
+    // deadline), then retire it: once torn down the predicate can never
+    // hold again.
+    sim_.probes().check(sim_.nowUs(), call.left->id().value());
+    sim_.probes().disarm(probe);
+    metrics_.counter("load.call_teardowns").add(1);
+    metrics_.gauge("load.armed_probes").add(-1);
+    call.torn_down = true;
+    sim_.inject(call.spec.leftName(), [](Box& box) {
+      static_cast<LoadEndpointBox&>(box).hangUp();
+    });
+  }
+
+  void audit(CallRuntime& call, const std::string& probe) {
+    const auto latency = sim_.probes().latencyUs(probe);
+    call.outcome.converged = latency.has_value();
+    call.outcome.setup_latency_us = latency.value_or(-1);
+    call.outcome.clean_teardown =
+        leakFree(call.left) && leakFree(call.right) && leakFree(call.relay);
+    if (!call.outcome.clean_teardown) return;
+    // The call is over: retire its boxes so the shard stops carrying (and
+    // refresh-ticking) them for the rest of the run.
+    if (sim_.retireBox(call.spec.leftName())) call.left = nullptr;
+    if (sim_.retireBox(call.spec.rightName())) call.right = nullptr;
+    if (call.relay != nullptr && sim_.retireBox(call.spec.relayName())) {
+      call.relay = nullptr;
+    }
+  }
+
+  Simulator& sim_;
+  obs::MetricsRegistry& metrics_;
+  const LoadConfig& config_;
+  std::vector<CallRuntime*> order_;  // arrival order
+};
+
 }  // namespace
 
 struct ShardedRuntime::ShardState {
@@ -259,90 +374,21 @@ void ShardedRuntime::runShard(ShardState& shard, const WorkloadSpec& workload,
     // Phases under shard.run: scheduling the call set, draining the event
     // loop, finalizing outcomes.
     std::deque<CallRuntime> live;
+    CallFeeder feeder(sim, shard.metrics, config_);
     {
       CMC_PROF_SCOPE("shard.schedule");
       for (const CallSpec& call : shard.calls) {
         live.push_back(CallRuntime{call, nullptr, nullptr, nullptr, false, {}});
+        live.back().outcome.spec = call;
+        live.back().outcome.shard = shard.index;
       }
-      for (CallRuntime& call : live) {
-        call.outcome.spec = call.spec;
-        call.outcome.shard = shard.index;
-        const std::string probe = call.spec.probeName();
-
-        sim.loop().scheduleAt(call.spec.arrival, [this, &sim, &shard, &call,
-                                                  probe]() {
-          // Live lifecycle metrics, written unconditionally (sampler or not)
-          // so the rollup stays byte-identical either way. The gauge is
-          // shard-local (excluded from the rollup); the counters are additive
-          // and shard-count invariant — each call arrives exactly once.
-          shard.metrics.counter("load.call_arrivals").add(1);
-          shard.metrics.gauge("load.armed_probes").add(1);
-          auto& left = sim.addBox<LoadEndpointBox>(
-              call.spec.leftName(), call.spec.left, PathEnd::left);
-          auto& right = sim.addBox<LoadEndpointBox>(
-              call.spec.rightName(), call.spec.right, PathEnd::right);
-          call.left = &left;
-          call.right = &right;
-          std::string target = call.spec.rightName();
-          if (call.spec.flowlinks > 0) {
-            auto& relay = sim.addBox<LoadRelayBox>(call.spec.relayName(),
-                                                   call.spec.rightName());
-            call.relay = &relay;
-            target = call.spec.relayName();
-          }
-          sim.inject(call.spec.leftName(), [target](Box& box) {
-            static_cast<LoadEndpointBox&>(box).dial(target);
-          });
-          const std::int64_t deadline =
-              config_.setup_deadline_us > 0
-                  ? sim.nowUs() + config_.setup_deadline_us
-                  : 0;
-          sim.probes().arm(probe, "call_setup", sim.nowUs(),
-                           [&call]() { return atRest(call); }, deadline);
-        });
-
-        const SimTime teardown_at =
-            call.spec.arrival + config_.setup_grace + call.spec.hold;
-        sim.loop().scheduleAt(teardown_at, [&sim, &shard, &call, probe]() {
-          // Final verdict for this call's probe (it may be resting right now,
-          // or past its watchdog deadline), then retire it: once torn down
-          // the predicate can never hold again.
-          sim.probes().check(sim.nowUs());
-          sim.probes().disarm(probe);
-          shard.metrics.counter("load.call_teardowns").add(1);
-          shard.metrics.gauge("load.armed_probes").add(-1);
-          call.torn_down = true;
-          sim.inject(call.spec.leftName(), [](Box& box) {
-            static_cast<LoadEndpointBox&>(box).hangUp();
-          });
-        });
-
-        sim.loop().scheduleAt(
-            teardown_at + config_.teardown_grace, [&sim, &call, probe]() {
-              const auto latency = sim.probes().latencyUs(probe);
-              call.outcome.converged = latency.has_value();
-              call.outcome.setup_latency_us = latency.value_or(-1);
-              call.outcome.clean_teardown = leakFree(call.left) &&
-                                            leakFree(call.right) &&
-                                            leakFree(call.relay);
-              if (!call.outcome.clean_teardown) return;
-              // The call is over: retire its boxes so the shard stops
-              // carrying (and refresh-ticking) them for the rest of the run.
-              if (sim.retireBox(call.spec.leftName())) call.left = nullptr;
-              if (sim.retireBox(call.spec.rightName())) call.right = nullptr;
-              if (call.relay != nullptr &&
-                  sim.retireBox(call.spec.relayName())) {
-                call.relay = nullptr;
-              }
-            });
-      }
+      feeder.start(live);
     }
 
-    // All lifecycle events are pre-scheduled; grants of virtual time keep
-    // flowing until the shard drains. Retry chains stop at teardown; the
-    // refresh ticks of a cleanly torn-down call stop when its leak audit
-    // retires its boxes, and those of any box left behind stop at the fault
-    // horizon, so the loop always drains.
+    // Grants of virtual time keep flowing until the shard drains. Retry
+    // chains stop at teardown; the refresh ticks of a cleanly torn-down
+    // call stop when its leak audit retires its boxes, and those of any box
+    // left behind stop at the fault horizon, so the loop always drains.
     bool idle = false;
     {
       CMC_PROF_SCOPE("shard.drain");

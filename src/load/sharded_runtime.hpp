@@ -38,6 +38,10 @@
 //   + setup_grace+hold final probe check, disarm, caller hangs up
 //   + teardown_grace   leak audit: every box back to 0 slots / 0 goals;
 //                      a clean call's boxes are then retired from the shard
+// Arrivals are fed one at a time: only the next arrival is queued, and each
+// arrival queues its call's hang-up and leak audit and then the next
+// arrival. The event queue (ShardStats::peak_pending, the "sim.queue_depth"
+// gauge) therefore holds in-flight work only, not one event per call.
 #pragma once
 
 #include <cstdint>

@@ -64,37 +64,42 @@ namespace cmc::net {
 // protocol layer, marks the stream as out of sync (error()); from then on
 // next() returns nothing, whatever bytes follow, and the connection should
 // be dropped.
+//
+// Popping a frame only advances a read offset; consumed bytes are dropped
+// from the front of the buffer when a feed finds them to be at least half
+// of it, so decoding is linear in the bytes fed however they are chunked.
 class RawFrameDecoder {
  public:
   // Maximum accepted frame size; malformed/hostile lengths are rejected.
   static constexpr std::uint32_t kMaxFrame = 1 << 20;
 
   void feed(const std::uint8_t* data, std::size_t size) {
+    if (read_ > 0 && read_ * 2 >= buffer_.size()) {
+      buffer_.erase(buffer_.begin(),
+                    buffer_.begin() + static_cast<std::ptrdiff_t>(read_));
+      read_ = 0;
+    }
     buffer_.insert(buffer_.end(), data, data + size);
   }
 
   // Returns the next complete body, or nullopt if more bytes are needed
   // (or the stream is poisoned).
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> next() {
-    while (!error_ && buffer_.size() >= kHeaderSize) {
-      const std::uint32_t length = readU32(0);
-      const std::uint32_t checksum = readU32(4);
+    while (!error_ && buffered() >= kHeaderSize) {
+      const std::uint32_t length = readU32(read_);
+      const std::uint32_t checksum = readU32(read_ + 4);
       if (length > kMaxFrame) {
         error_ = true;
         return std::nullopt;
       }
       const std::size_t frame_size = kHeaderSize + length;
-      if (buffer_.size() < frame_size) return std::nullopt;
-      const std::uint8_t* body = buffer_.data() + kHeaderSize;
-      std::optional<std::vector<std::uint8_t>> out;
+      if (buffered() < frame_size) return std::nullopt;
+      const std::uint8_t* body = buffer_.data() + read_ + kHeaderSize;
+      read_ += frame_size;
       if (frameChecksum(body, length) == checksum) {
-        out.emplace(body, body + length);
-      } else {
-        ++corrupt_frames_;
+        return std::vector<std::uint8_t>(body, body + length);
       }
-      buffer_.erase(buffer_.begin(),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(frame_size));
-      if (out) return out;
+      ++corrupt_frames_;
     }
     return std::nullopt;
   }
@@ -104,7 +109,10 @@ class RawFrameDecoder {
   void poison() noexcept { error_ = true; }
 
   [[nodiscard]] bool error() const noexcept { return error_; }
-  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
+  // Bytes fed but not yet consumed by next().
+  [[nodiscard]] std::size_t buffered() const noexcept {
+    return buffer_.size() - read_;
+  }
   // Frames discarded for checksum mismatch.
   [[nodiscard]] std::uint64_t corruptFrames() const noexcept {
     return corrupt_frames_;
@@ -122,6 +130,7 @@ class RawFrameDecoder {
   }
 
   std::vector<std::uint8_t> buffer_;
+  std::size_t read_ = 0;  // start of the unconsumed bytes in buffer_
   bool error_ = false;
   std::uint64_t corrupt_frames_ = 0;
 };

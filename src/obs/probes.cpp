@@ -1,5 +1,6 @@
 #include "obs/probes.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "obs/flight_recorder.hpp"
@@ -11,23 +12,64 @@ namespace cmc::obs {
 
 void ConvergenceProbes::arm(std::string name, std::string bucket,
                             std::int64_t now_us, Predicate quiescent,
-                            std::int64_t deadline_us) {
+                            std::int64_t deadline_us, Watch watch) {
+  const std::uint64_t seq = next_seq_++;
   Armed probe;
   probe.name = std::move(name);
   probe.bucket = std::move(bucket);
   probe.start_us = now_us;
   probe.deadline_us = deadline_us;
   probe.quiescent = std::move(quiescent);
+  probe.watch = std::move(watch);
   if (TraceRecorder* rec = recorder()) {
     rec->record(EventKind::mark, "probe_armed:" + probe.name, /*actor=*/{});
   }
-  armed_.push_back(std::move(probe));
+  if (probe.watch.empty()) unscoped_.push_back(seq);
+  for (std::uint64_t box : probe.watch) watchers_.emplace(box, seq);
+  if (deadline_us > 0) deadlines_.emplace(deadline_us, seq);
+  fresh_.push_back(seq);
+  armed_.emplace(seq, std::move(probe));
 }
 
 std::size_t ConvergenceProbes::check(std::int64_t now_us) {
+  fresh_.clear();
+  collectExpired(now_us);  // every armed probe is due anyway
+  due_.clear();
+  for (const auto& [seq, probe] : armed_) due_.push_back(seq);
+  return evaluate(now_us);
+}
+
+std::size_t ConvergenceProbes::check(std::int64_t now_us,
+                                     std::uint64_t touched_box) {
+  due_.insert(due_.end(), fresh_.begin(), fresh_.end());
+  fresh_.clear();
+  due_.insert(due_.end(), unscoped_.begin(), unscoped_.end());
+  const auto [first, last] = watchers_.equal_range(touched_box);
+  for (auto it = first; it != last; ++it) due_.push_back(it->second);
+  collectExpired(now_us);
+  return evaluate(now_us);
+}
+
+void ConvergenceProbes::collectExpired(std::int64_t now_us) {
+  while (!deadlines_.empty() && deadlines_.top().first <= now_us) {
+    due_.push_back(deadlines_.top().second);
+    deadlines_.pop();
+  }
+}
+
+std::size_t ConvergenceProbes::evaluate(std::int64_t now_us) {
+  if (due_.empty()) return 0;
+  // Work on a local list so a failure handler that checks again cannot
+  // disturb this pass; the buffer's capacity goes back to due_ afterwards.
+  std::vector<std::uint64_t> due;
+  due.swap(due_);
+  std::sort(due.begin(), due.end());
+  due.erase(std::unique(due.begin(), due.end()), due.end());
   std::size_t fired = 0;
-  for (std::size_t i = 0; i < armed_.size();) {
-    Armed& probe = armed_[i];
+  for (const std::uint64_t seq : due) {
+    auto it = armed_.find(seq);
+    if (it == armed_.end()) continue;  // settled or disarmed
+    Armed& probe = it->second;
     if (!probe.quiescent || !probe.quiescent()) {
       if (probe.deadline_us > 0 && now_us >= probe.deadline_us) {
         // Watchdog expired: this is a failed convergence. Capture the
@@ -39,14 +81,12 @@ std::size_t ConvergenceProbes::check(std::int64_t now_us) {
           rec->record(EventKind::mark, "probe_failed:" + name, /*actor=*/{},
                       probe.bucket, /*id=*/0, /*v0=*/now_us - probe.start_us);
         }
-        armed_.erase(armed_.begin() + static_cast<std::ptrdiff_t>(i));
+        retire(it);
         if (FlightRecorder* fr = flightRecorder()) {
           fr->dump("probe_timeout:" + name);
         }
         if (on_failure_) on_failure_(name, now_us);
-        continue;
       }
-      ++i;
       continue;
     }
     const std::int64_t latency = now_us - probe.start_us;
@@ -66,15 +106,34 @@ std::size_t ConvergenceProbes::check(std::int64_t now_us) {
     }
     ++converged_;
     ++fired;
-    armed_.erase(armed_.begin() + static_cast<std::ptrdiff_t>(i));
+    retire(it);
   }
+  due.clear();
+  if (due_.empty()) due_.swap(due);
   return fired;
 }
 
+void ConvergenceProbes::retire(std::map<std::uint64_t, Armed>::iterator it) {
+  const std::uint64_t seq = it->first;
+  for (std::uint64_t box : it->second.watch) {
+    const auto [first, last] = watchers_.equal_range(box);
+    for (auto w = first; w != last; ++w) {
+      if (w->second == seq) {
+        watchers_.erase(w);
+        break;
+      }
+    }
+  }
+  if (it->second.watch.empty()) {
+    unscoped_.erase(std::find(unscoped_.begin(), unscoped_.end(), seq));
+  }
+  armed_.erase(it);
+}
+
 bool ConvergenceProbes::disarm(const std::string& name) {
-  for (std::size_t i = 0; i < armed_.size(); ++i) {
-    if (armed_[i].name != name) continue;
-    armed_.erase(armed_.begin() + static_cast<std::ptrdiff_t>(i));
+  for (auto it = armed_.begin(); it != armed_.end(); ++it) {
+    if (it->second.name != name) continue;
+    retire(it);
     return true;
   }
   return false;
@@ -118,6 +177,10 @@ std::string ConvergenceProbes::json() const {
 
 void ConvergenceProbes::reset() {
   armed_.clear();
+  watchers_.clear();
+  unscoped_.clear();
+  fresh_.clear();
+  deadlines_ = {};
   histograms_.clear();
   results_.clear();
   failed_.clear();

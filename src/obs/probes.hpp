@@ -11,20 +11,27 @@
 // records `now - armed_at` into a named latency histogram and disarms.
 //
 // Predicates run only while at least one probe is armed, so an idle probe
-// set costs one `empty()` check per stimulus. Probes are owned by a single
-// simulation thread; they are not thread-safe by design. All timestamps —
-// arm instants and watchdog deadlines — are in the hosting loop's virtual
-// time, and the deadline path resolves the flight recorder through
-// obs::flightRecorder(), which honors the calling thread's override: in a
-// sharded runtime a deadline miss therefore dumps the shard that armed the
-// probe, never a sibling shard's recorder.
+// set costs one `empty()` check per stimulus. A probe may name the boxes its
+// predicate reads (its watch set); the host's per-stimulus check then
+// evaluates only the probes watching the stimulated box, so the cost of a
+// stimulus does not grow with the number of probes armed for unrelated
+// paths. Probes are owned by a single simulation thread; they are not
+// thread-safe by design. All timestamps — arm instants and watchdog
+// deadlines — are in the hosting loop's virtual time, and the deadline
+// path resolves the flight recorder through obs::flightRecorder(), which
+// honors the calling thread's override: in a sharded runtime a deadline
+// miss therefore dumps the shard that armed the probe, never a sibling
+// shard's recorder.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <queue>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -36,6 +43,9 @@ class ConvergenceProbes {
   using Predicate = std::function<bool()>;
   using FailureHandler =
       std::function<void(const std::string& name, std::int64_t now_us)>;
+  // The boxes (BoxId::value()) whose state a predicate reads. Empty means
+  // "any box": the probe is evaluated at every check.
+  using Watch = std::vector<std::uint64_t>;
 
   // Arm a probe. `bucket` names the histogram the latency lands in (several
   // probes — e.g. runs with different seeds — may share one bucket);
@@ -43,13 +53,25 @@ class ConvergenceProbes {
   // turns the probe into a watchdog: if it has not converged by that
   // virtual instant, the next check() marks it failed, disarms it, and
   // triggers the installed flight recorder (obs/flight_recorder.hpp).
+  // A non-empty `watch` scopes the probe to those boxes: check(now, box)
+  // evaluates it only when `box` is one of them. The predicate must then
+  // read nothing but the watched boxes (and state that changes only with
+  // them), or a scoped check can miss the instant it starts to hold.
   void arm(std::string name, std::string bucket, std::int64_t now_us,
-           Predicate quiescent, std::int64_t deadline_us = 0);
+           Predicate quiescent, std::int64_t deadline_us = 0,
+           Watch watch = {});
 
-  // Evaluate armed probes; satisfied ones record and disarm, expired ones
-  // fail (post-mortem dump + onFailure). Returns the number of probes that
-  // converged in this call.
+  // Evaluate every armed probe; satisfied ones record and disarm, expired
+  // ones fail (post-mortem dump + onFailure). Returns the number of probes
+  // that converged in this call.
   std::size_t check(std::int64_t now_us);
+  // The same after a stimulus of box `touched_box` (BoxId::value()):
+  // evaluates only the probes that stimulus can have changed — those
+  // watching the box, unscoped ones, and any armed since the last check —
+  // plus every probe whose deadline has passed, so watchdogs fail at the
+  // same check instant as under check(now_us). Probes are evaluated in
+  // arming order, as check(now_us) does.
+  std::size_t check(std::int64_t now_us, std::uint64_t touched_box);
 
   // Drop the armed probe named `name` without recording a result either
   // way. Returns true if it was armed. Call-churn hosts disarm a call's
@@ -97,11 +119,30 @@ class ConvergenceProbes {
     std::int64_t start_us = 0;
     std::int64_t deadline_us = 0;  // 0 = no watchdog
     Predicate quiescent;
+    Watch watch;
   };
+  // Earliest deadline first; entries of probes already settled or disarmed
+  // are skipped when they surface.
+  using Deadline = std::pair<std::int64_t, std::uint64_t>;
 
-  std::vector<Armed> armed_;
+  // Evaluate the probes whose sequence numbers are in due_ (any order,
+  // duplicates allowed), in arming order; empties due_.
+  std::size_t evaluate(std::int64_t now_us);
+  // Queue every probe whose deadline is at or before `now_us`.
+  void collectExpired(std::int64_t now_us);
+  // Forget an armed probe and its watch entries.
+  void retire(std::map<std::uint64_t, Armed>::iterator it);
+
+  std::map<std::uint64_t, Armed> armed_;  // keyed by arming sequence
+  std::unordered_multimap<std::uint64_t, std::uint64_t> watchers_;  // box → seq
+  std::vector<std::uint64_t> unscoped_;  // probes with an empty watch set
+  std::vector<std::uint64_t> fresh_;     // armed since the last check
+  std::priority_queue<Deadline, std::vector<Deadline>, std::greater<>>
+      deadlines_;
+  std::vector<std::uint64_t> due_;  // scratch: probes one check evaluates
+  std::uint64_t next_seq_ = 0;
   std::map<std::string, Histogram> histograms_;
-  std::map<std::string, std::int64_t> results_;
+  std::unordered_map<std::string, std::int64_t> results_;
   std::vector<std::string> failed_;
   FailureHandler on_failure_;
   std::size_t converged_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "obs/flight_recorder.hpp"
@@ -107,15 +108,25 @@ void Simulator::registerBox(std::unique_ptr<Box> box) {
 bool Simulator::retireBox(const std::string& name) {
   auto it = boxes_.find(name);
   if (it == boxes_.end()) return false;
-  const BoxEntry& entry = it->second;
+  BoxEntry& entry = it->second;
   const Box& target = *entry.box;
   if (target.slotCount() != 0 || target.goalCount() != 0 ||
       entry.down_until || entry.stimuli_pending != 0) {
     return false;
   }
-  const std::uint64_t id = target.id().value();
-  routes_.erase(routes_.lower_bound({id, SlotId{0}}),
-                routes_.lower_bound({id + 1, SlotId{0}}));
+  // A box without slots has no live channel end, so it normally has no
+  // routes left either. One that dropped an end without a teardown output
+  // still has that end's routes: close the end, so no channel record keeps
+  // a pointer to the erased entry.
+  while (!entry.routes.empty()) {
+    const Route route = entry.routes.back().second;
+    entry.routes.pop_back();
+    auto cit = channels_.find(route.channel);
+    if (cit != channels_.end() &&
+        cit->second.side(route.from_side_a).entry == &entry) {
+      closeSide(cit->second, route.from_side_a);
+    }
+  }
   boxes_.erase(it);
   return true;
 }
@@ -131,26 +142,24 @@ Simulator::MetricHandles& Simulator::handlesFor(
 
 ChannelId Simulator::connect(const std::string& a, const std::string& b,
                              std::uint32_t tunnels) {
-  Box& box_a = box(a);
-  Box& box_b = box(b);
-  ChannelRecord rec;
-  rec.id = ChannelId{next_channel_id_++};
+  BoxEntry* entry_a = findBox(a);
+  BoxEntry* entry_b = findBox(b);
+  if (entry_a == nullptr) throw std::logic_error("unknown box: " + a);
+  if (entry_b == nullptr) throw std::logic_error("unknown box: " + b);
+  const ChannelId id{next_channel_id_++};
+  ChannelRecord& rec = channels_[id];
+  rec.id = id;
   rec.tunnels = tunnels;
-  rec.boxA = a;
-  rec.boxB = b;
-  rec.slotsA = box_a.addChannelEnd(rec.id, tunnels, /*initiator=*/true, "", b);
-  rec.slotsB = box_b.addChannelEnd(rec.id, tunnels, /*initiator=*/false, "", a);
-  rec.aliveA = rec.aliveB = true;
-  for (std::uint32_t t = 0; t < tunnels; ++t) {
-    routes_[{box_a.id().value(), rec.slotsA[t]}] = Route{rec.id, t, true};
-    routes_[{box_b.id().value(), rec.slotsB[t]}] = Route{rec.id, t, false};
-  }
-  const ChannelId id = rec.id;
-  channels_.emplace(id, std::move(rec));
+  rec.a.box = a;
+  rec.b.box = b;
+  openSide(rec, true, *entry_a,
+           entry_a->box->addChannelEnd(id, tunnels, /*initiator=*/true, "", b));
+  openSide(rec, false, *entry_b,
+           entry_b->box->addChannelEnd(id, tunnels, /*initiator=*/false, "", a));
   // Static configuration happens before time starts; drain any goal signals
   // the hooks produced.
-  drain(box_a);
-  drain(box_b);
+  drain(*entry_a);
+  drain(*entry_b);
   return id;
 }
 
@@ -173,9 +182,16 @@ void Simulator::runFor(SimDuration d) { loop_.runUntil(loop_.now() + d); }
 void Simulator::installFaultPlan(FaultPlan* plan) {
   fault_plan_ = plan;
   if (plan == nullptr) return;
-  for (auto& [name, entry] : boxes_) {
-    entry.box->enableStabilization(true);
-    scheduleRefreshTick(entry);
+  // In name order, so the refresh ticks queue the same way whatever the
+  // hash table's layout.
+  std::vector<std::pair<const std::string*, BoxEntry*>> entries;
+  entries.reserve(boxes_.size());
+  for (auto& [name, entry] : boxes_) entries.emplace_back(&name, &entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& x, const auto& y) { return *x.first < *y.first; });
+  for (auto& [name, entry] : entries) {
+    entry->box->enableStabilization(true);
+    scheduleRefreshTick(*entry);
   }
   for (const CrashEvent& crash : plan->crashes()) {
     loop_.scheduleAt(crash.at, [this, crash]() { crashBox(crash); });
@@ -307,7 +323,7 @@ void Simulator::stimulate(BoxEntry& entry, StimulusFn fn,
       obs::ContextScope ctx_scope(self);
       CMC_PROF_SCOPE("sim.stimulus");
       fn();
-      drain(box);
+      drain(entry);
     }
     if (rec != nullptr) {
       obs::TraceEvent ev;
@@ -328,33 +344,36 @@ void Simulator::stimulate(BoxEntry& entry, StimulusFn fn,
       scheduleRefreshTick(entry);
     }
     --entry.stimuli_pending;
-    if (!probes_.empty()) probes_.check(nowUs());
+    if (!probes_.empty()) probes_.check(nowUs(), box.id().value());
   });
 }
 
-void Simulator::drain(Box& box) {
+void Simulator::drain(BoxEntry& entry) {
   // Processing outputs can trigger same-box hooks that enqueue more output
   // (e.g. onChannelUp when the box creates a channel); loop to fixpoint.
+  // processOutput never stimulates a box synchronously, so one buffer
+  // serves every drain.
+  Box& box = *entry.box;
   for (int guard = 0; guard < 64; ++guard) {
-    Box::Output out = box.drainOutput();
-    if (out.empty()) return;
-    processOutput(box, std::move(out));
+    box.drainOutputInto(drain_out_);
+    if (drain_out_.empty()) return;
+    processOutput(entry, drain_out_);
   }
   log::warn("sim", "box ", box.name(), " output did not quiesce");
 }
 
-void Simulator::processOutput(Box& sender, Box::Output&& out) {
+void Simulator::processOutput(BoxEntry& sender_entry, Box::Output& out) {
   CMC_PROF_SCOPE("sim.process_output");
-  const std::string from = sender.name();
+  Box& sender = *sender_entry.box;
+  const std::string& from = sender.name();
   // Every output is stamped with the context of the stimulus that produced
   // it (empty when propagation is off or during static configuration), so
   // the receiving box's stimulus span can adopt it as its causal parent.
   const obs::TraceContext cause = obs::currentContext();
 
   for (auto& item : out.tunnel) {
-    const Route route = routeOf(sender, item.slot);
-    ChannelRecord& rec = record(route.channel);
-    const std::string& to = route.from_side_a ? rec.boxB : rec.boxA;
+    const Route route = routeOf(sender_entry, item.slot);
+    const std::string& to = record(route.channel).side(!route.from_side_a).box;
     if (obs::TraceRecorder* trace = obs::recorder()) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::signalSend;
@@ -421,8 +440,7 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     auto it = channels_.find(channel_id);
     if (it == channels_.end()) continue;
     ChannelRecord& rec = it->second;
-    const bool from_a = rec.boxA == from;
-    const std::string to = from_a ? rec.boxB : rec.boxA;
+    const std::string& to = rec.side(rec.a.box != from).box;
     meta.ctx = cause;  // in-band provenance, mirrors the net frame encoding
     loop_.schedule(timing_.sampleNetwork(rng_),
                    [this, to, channel_id, meta = std::move(meta)]() {
@@ -462,42 +480,36 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
       log::warn("sim", "channel request to unknown box ", request.target);
       continue;
     }
-    ChannelRecord rec;
-    rec.id = ChannelId{next_channel_id_++};
+    const ChannelId id{next_channel_id_++};
+    ChannelRecord& rec = channels_[id];
+    rec.id = id;
     rec.tunnels = request.tunnels;
-    rec.boxA = from;
-    rec.boxB = request.target;
-    rec.slotsA = sender.addChannelEnd(rec.id, rec.tunnels, /*initiator=*/true,
-                                      request.tag, request.target);
-    rec.aliveA = true;
-    for (std::uint32_t t = 0; t < rec.tunnels; ++t) {
-      routes_[{sender.id().value(), rec.slotsA[t]}] = Route{rec.id, t, true};
-    }
-    const ChannelId id = rec.id;
-    channels_.emplace(id, std::move(rec));
+    rec.a.box = from;
+    rec.b.box = request.target;
+    openSide(rec, true, sender_entry,
+             sender.addChannelEnd(id, rec.tunnels, /*initiator=*/true,
+                                  request.tag, request.target));
     // The far end materializes one network latency later (setup meta). The
     // transport-level end registration is synchronous so that signals in
     // flight right behind the setup find the slots; the callee's feature
     // reaction to the new channel is charged one processing cost.
     loop_.schedule(timing_.sampleNetwork(rng_), [this, id, from, cause]() {
       auto cit = channels_.find(id);
-      if (cit == channels_.end() || !cit->second.aliveA) return;
+      if (cit == channels_.end() || cit->second.a.entry == nullptr) return;
       ChannelRecord& r = cit->second;
-      BoxEntry* entry = findBox(r.boxB);
+      BoxEntry* entry = findBox(r.b.box);
       if (entry == nullptr) return;  // retired before the setup arrived
       Box& callee = *entry->box;
-      r.slotsB = callee.addChannelEnd(id, r.tunnels, /*initiator=*/false, "", from);
-      r.aliveB = true;
-      for (std::uint32_t t = 0; t < r.tunnels; ++t) {
-        routes_[{callee.id().value(), r.slotsB[t]}] = Route{id, t, false};
-      }
+      openSide(r, false, *entry,
+               callee.addChannelEnd(id, r.tunnels, /*initiator=*/false, "",
+                                    from));
       // Materialization mutates box state (slots appear, goals may attach
       // in the incoming-channel hook) outside any stimulus, so re-evaluate
       // probes here: a quiescence predicate that flips at this instant must
       // record this instant, not whichever unrelated stimulus happens to
       // complete next — under concurrent call load the gap would make probe
       // latencies depend on what else shares the event loop.
-      if (!probes_.empty()) probes_.check(nowUs());
+      if (!probes_.empty()) probes_.check(nowUs(), callee.id().value());
       // Drain hook outputs after processing cost; causally the callee's
       // reaction descends from the stimulus that requested the channel.
       stimulate(*entry, []() {}, cause);
@@ -508,31 +520,26 @@ void Simulator::processOutput(Box& sender, Box::Output&& out) {
     auto it = channels_.find(id);
     if (it == channels_.end()) continue;
     ChannelRecord& rec = it->second;
-    const bool from_a = rec.boxA == from;
-    (from_a ? rec.aliveA : rec.aliveB) = false;
-    for (SlotId s : (from_a ? rec.slotsA : rec.slotsB)) {
-      routes_.erase({sender.id().value(), s});
-    }
-    const std::string to = from_a ? rec.boxB : rec.boxA;
-    const bool peer_alive = from_a ? rec.aliveB : rec.aliveA;
-    if (peer_alive) {
-      loop_.schedule(timing_.sampleNetwork(rng_), [this, id, to, cause]() {
+    const bool from_a = rec.a.box == from;
+    closeSide(rec, from_a);
+    const ChannelSide& peer = rec.side(!from_a);
+    if (peer.entry != nullptr) {
+      loop_.schedule(timing_.sampleNetwork(rng_),
+                     [this, id, to = peer.box, cause]() {
         auto cit = channels_.find(id);
         if (cit == channels_.end()) return;
         BoxEntry* entry = findBox(to);
         if (entry == nullptr) return;  // retired
         Box& target = *entry->box;
-        stimulate(*entry, [this, &target, id, to]() {
+        stimulate(*entry, [this, &target, id]() {
           target.deliverMeta(id, MetaSignal{MetaKind::teardown, "", ""});
           auto cit2 = channels_.find(id);
           if (cit2 != channels_.end()) {
             ChannelRecord& r = cit2->second;
-            const bool was_a = r.boxA == to;
-            (was_a ? r.aliveA : r.aliveB) = false;
-            for (SlotId s : (was_a ? r.slotsA : r.slotsB)) {
-              routes_.erase({target.id().value(), s});
+            closeSide(r, r.a.box == target.name());
+            if (r.a.entry == nullptr && r.b.entry == nullptr) {
+              channels_.erase(cit2);
             }
-            if (!r.aliveA && !r.aliveB) channels_.erase(cit2);
           }
         }, cause);
       });
@@ -549,14 +556,12 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
   auto cit = channels_.find(channel);
   if (cit == channels_.end()) return;  // torn down while in flight
   ChannelRecord& rec = cit->second;
-  const bool to_a = to_side_a;
-  const std::string& to_box = to_a ? rec.boxA : rec.boxB;
-  const std::string& from_box = to_a ? rec.boxB : rec.boxA;
-  if ((to_a && !rec.aliveA) || (!to_a && !rec.aliveB)) return;
-  const auto& slots = to_a ? rec.slotsA : rec.slotsB;
-  if (tunnel >= slots.size()) return;
-  BoxEntry* entry = findBox(to_box);
-  if (entry == nullptr) return;  // retired: the signal is lost
+  const ChannelSide& to = rec.side(to_side_a);
+  // A closed end (its box may be retired) loses the signal.
+  if (to.entry == nullptr || tunnel >= to.slots.size()) return;
+  const std::string& to_box = to.box;
+  const std::string& from_box = rec.side(!to_side_a).box;
+  BoxEntry* entry = to.entry;
   if (isDown(*entry)) {
     // The destination is crashed: the signal reaches a dead transport and
     // is lost, exactly like a drop fault.
@@ -566,7 +571,7 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
     }
     return;
   }
-  const SlotId slot = slots[tunnel];
+  const SlotId slot = to.slots[tunnel];
   Box& target = *entry->box;
   ++signals_delivered_;
   if (obs::MetricsRegistry* m = obs::metrics()) {
@@ -599,10 +604,44 @@ void Simulator::deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
   }, ctx);
 }
 
-Simulator::Route Simulator::routeOf(const Box& box, SlotId slot) const {
-  auto it = routes_.find({box.id().value(), slot});
-  if (it == routes_.end()) {
-    throw std::logic_error("no route for slot on box " + box.name());
+namespace {
+
+template <typename Routes>
+auto routeSlot(Routes& routes, SlotId slot) {
+  return std::lower_bound(
+      routes.begin(), routes.end(), slot,
+      [](const auto& route, SlotId s) { return route.first < s; });
+}
+
+}  // namespace
+
+void Simulator::openSide(ChannelRecord& rec, bool side_a, BoxEntry& entry,
+                         std::vector<SlotId> slots) {
+  ChannelSide& side = rec.side(side_a);
+  side.entry = &entry;
+  side.slots = std::move(slots);
+  for (std::uint32_t t = 0; t < side.slots.size(); ++t) {
+    const SlotId slot = side.slots[t];
+    entry.routes.emplace(routeSlot(entry.routes, slot), slot,
+                         Route{rec.id, t, side_a});
+  }
+}
+
+void Simulator::closeSide(ChannelRecord& rec, bool side_a) {
+  ChannelSide& side = rec.side(side_a);
+  if (side.entry == nullptr) return;
+  auto& routes = side.entry->routes;
+  for (SlotId slot : side.slots) {
+    auto it = routeSlot(routes, slot);
+    if (it != routes.end() && it->first == slot) routes.erase(it);
+  }
+  side.entry = nullptr;
+}
+
+Simulator::Route Simulator::routeOf(const BoxEntry& entry, SlotId slot) const {
+  auto it = routeSlot(entry.routes, slot);
+  if (it == entry.routes.end() || it->first != slot) {
+    throw std::logic_error("no route for slot on box " + entry.box->name());
   }
   return it->second;
 }

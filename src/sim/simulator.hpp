@@ -17,11 +17,13 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/box.hpp"
 #include "media/network.hpp"
@@ -158,10 +160,17 @@ class Simulator {
       onSignalDelivered;
 
  private:
+  struct Route {
+    ChannelId channel;
+    std::uint32_t tunnel;
+    bool from_side_a;
+  };
+
   // Everything the simulator keeps per box, so retiring a box is one erase
-  // and routing a stimulus to a box is one name lookup. Map nodes are
-  // stable: scheduled closures may hold a BoxEntry& for as long as
-  // retireBox refuses the box (a stimulus pending, a crash outage).
+  // and routing a stimulus to a box is one name lookup. Hash-table nodes
+  // are stable: scheduled closures and channel records may hold a
+  // BoxEntry& for as long as retireBox refuses the box (slots open, a
+  // stimulus pending, a crash outage).
   struct BoxEntry {
     std::unique_ptr<Box> box;
     // Serial-server clock: when the box finishes its queued stimuli.
@@ -174,6 +183,9 @@ class Simulator {
     std::optional<SimTime> down_until;
     std::uint32_t stimuli_pending = 0;  // queued or in flight
     bool refresh_armed = false;         // one refresh tick pending
+    // slot -> route for each slot of the box's live channel ends, sorted by
+    // slot, maintained as ends come and go.
+    std::vector<std::pair<SlotId, Route>> routes;
   };
 
   // Hot-path metric handles for one registry (with BoxEntry::busy). Each is
@@ -190,15 +202,25 @@ class Simulator {
     std::array<obs::Counter*, 6> signals{};  // by SignalKind
   };
 
+  // One end of a channel. `entry` is set while the end is live and null
+  // once it is torn down (or, for a requested channel, until the far end
+  // materializes), so delivery reaches the box without a name lookup. The
+  // pointer cannot dangle: a live end keeps its slots, retireBox refuses a
+  // box with slots, and retiring a box closes any end still pointing at it.
+  struct ChannelSide {
+    std::string box;  // name: trace events and fault routing
+    BoxEntry* entry = nullptr;
+    std::vector<SlotId> slots;
+  };
+
   struct ChannelRecord {
     ChannelId id;
     std::uint32_t tunnels = 1;
-    std::string boxA;  // initiator
-    std::string boxB;
-    std::vector<SlotId> slotsA;
-    std::vector<SlotId> slotsB;
-    bool aliveA = false;
-    bool aliveB = false;
+    ChannelSide a;  // initiator
+    ChannelSide b;
+    [[nodiscard]] ChannelSide& side(bool side_a) noexcept {
+      return side_a ? a : b;
+    }
   };
 
   void registerBox(std::unique_ptr<Box> box);
@@ -228,23 +250,25 @@ class Simulator {
   // tick outliving its box (retired, maybe re-registered) does nothing.
   void scheduleRefreshTick(BoxEntry& entry);
   void refreshTick(const std::string& name, BoxId id);
-  void drain(Box& box);
-  void processOutput(Box& box, Box::Output&& out);
+  // Process `entry`'s outputs to a fixpoint through the reused drain_out_.
+  void drain(BoxEntry& entry);
+  void processOutput(BoxEntry& sender, Box::Output& out);
   // Deliver a tunnel signal scheduled by processOutput. The in-flight event
-  // carries only route coordinates (channel id, tunnel, destination side) —
-  // box names are resolved from the channel record on arrival, so the
+  // carries only route coordinates (channel id, tunnel, destination side);
+  // the destination box comes from the channel record on arrival, so the
   // capture is small and string-free; a torn-down channel means the signal
   // is simply lost, same as before.
   void deliverTunnelSignal(ChannelId channel, std::uint32_t tunnel,
                            bool to_side_a, Signal signal,
                            obs::TraceContext ctx);
 
-  struct Route {
-    ChannelId channel;
-    std::uint32_t tunnel;
-    bool from_side_a;
-  };
-  [[nodiscard]] Route routeOf(const Box& box, SlotId slot) const;
+  // Open the end `side` of channel `rec` on `entry`: cache the entry and
+  // route each of `slots` to its tunnel.
+  static void openSide(ChannelRecord& rec, bool side_a, BoxEntry& entry,
+                       std::vector<SlotId> slots);
+  // Close that end: forget the entry and the routes of its slots.
+  static void closeSide(ChannelRecord& rec, bool side_a);
+  [[nodiscard]] Route routeOf(const BoxEntry& entry, SlotId slot) const;
   [[nodiscard]] ChannelRecord& record(ChannelId id);
 
   EventLoop loop_;
@@ -253,12 +277,12 @@ class Simulator {
   Rng rng_;
   std::uint64_t next_box_id_ = 1;
   std::uint64_t next_channel_id_ = 1;
-  std::map<std::string, BoxEntry> boxes_;
-  std::map<ChannelId, ChannelRecord> channels_;
-  // (box id, slot) -> route, maintained as ends come and go. Keyed by the
-  // numeric box id so hot-path lookups build no string key.
-  std::map<std::pair<std::uint64_t, SlotId>, Route> routes_;
+  std::unordered_map<std::string, BoxEntry> boxes_;
+  std::unordered_map<ChannelId, ChannelRecord> channels_;
   MetricHandles handles_;
+  // Every drain swaps a box's pending output into this buffer, so its
+  // vectors keep their capacity from one stimulus to the next.
+  Box::Output drain_out_;
   std::uint64_t signals_delivered_ = 0;
   obs::ConvergenceProbes probes_;
   FaultPlan* fault_plan_ = nullptr;  // not owned

@@ -5,14 +5,17 @@
 // counts per site testable. The signal gate pins the hot-path allocation
 // budget after the small-buffer/interning/pooled-event-loop refactor:
 //
-//   site                 before     budget
-//   sim.deliver_tunnel   ~3.6/op    <= 1.0 allocs per delivered signal
-//   sim.process_output   ~3.0/op    <= 1.0 allocs per output-processing run
-//   loop.dispatch        ~1.5/op    <= 1.5 allocs per dispatched event
+//   site                 before     now      budget
+//   sim.deliver_tunnel   ~3.6/op             <= 1.0 allocs per delivered signal
+//   sim.process_output   ~3.0/op             <= 1.0 allocs per output-processing run
+//   sim.stimulus         1.08/op    0.52/op  <= 0.75 allocs per box stimulus
+//   loop.dispatch        ~1.5/op             <= 1.5 allocs per dispatched event
 //
 // "Before" numbers were measured on the same workload prior to the
 // refactor (std::function event handlers, vector codec lists, string
-// captures in delivery lambdas). If a future change reintroduces per-signal
+// captures in delivery lambdas); for sim.stimulus, prior to draining box
+// outputs into one reused buffer (Box::drainOutputInto), when every drain
+// left the box a fresh Output whose vectors allocated again. If a future change reintroduces per-signal
 // heap churn — a bigger capture than the event-node inline capacity, a
 // string built per delivery, a descriptor clone — this test fails before
 // the throughput regression reaches a release.
@@ -108,6 +111,7 @@ void expectWithinBudgets(const obs::ProfileReport& report,
 TEST(AllocBudget, HotPathSitesStayWithinBudget) {
   expectWithinBudgets(profiledRun(), {{"sim.deliver_tunnel", 1.0},
                                       {"sim.process_output", 1.0},
+                                      {"sim.stimulus", 0.75},
                                       {"loop.dispatch", 1.5}});
 }
 

@@ -5,7 +5,8 @@
 //     faults;
 //   * churn hygiene — every call's teardown leaves its boxes with zero
 //     slots and zero goals, and a finished call leaves no work behind, so
-//     events per call stay flat as the call count grows;
+//     events per call and the event queue's peak stay flat as the call
+//     count grows;
 //   * fault isolation — per-call fault plans never bleed across calls: a
 //     clean call behaves byte-identically whether or not faulty calls share
 //     its shard;
@@ -195,24 +196,42 @@ TEST(RollupPins, FaultyTwoThousandCallRunMatchesRecordedDigest) {
 // Events per call must not grow with the number of calls that came before:
 // a finished call may not leave work behind in its shard. Event counts are
 // deterministic, so this is a hard gate, not a timing heuristic.
-std::uint64_t eventsExecuted(std::size_t calls) {
+ShardStats churnStats(std::size_t calls, double arrivals_per_s = 200.0) {
   WorkloadSpec workload = smallWorkload(7, /*fault_fraction=*/0.3);
   workload.calls = calls;
-  workload.arrivals_per_s = 200.0;
+  workload.arrivals_per_s = arrivals_per_s;
   LoadConfig config;
   config.shards = 1;
   ShardedRuntime runtime(config);
   runtime.run(workload);
   EXPECT_EQ(runtime.convergedCount(), calls);
   EXPECT_EQ(runtime.cleanTeardownCount(), calls);
-  return runtime.shardStats().at(0).events_executed;
+  return runtime.shardStats().at(0);
 }
 
 TEST(Churn, EventsPerCallStayFlatAsCallCountGrows) {
-  const double small = static_cast<double>(eventsExecuted(500)) / 500.0;
-  const double large = static_cast<double>(eventsExecuted(2000)) / 2000.0;
+  const double small =
+      static_cast<double>(churnStats(500).events_executed) / 500.0;
+  const double large =
+      static_cast<double>(churnStats(2000).events_executed) / 2000.0;
   EXPECT_LE(large, 1.25 * small)
       << "events/call " << small << " at 500 calls vs " << large
+      << " at 2000 calls";
+}
+
+// The event queue holds in-flight work only: arrivals are fed one at a
+// time, so at a fixed arrival rate the widest the queue gets does not grow
+// with how many calls the shard runs in total. A call lives ~5 s of virtual
+// time (3 s setup grace, 0.5-2 s hold, 1 s teardown grace); at 50 arrivals
+// per second even the 500-call run spans 10 s, so both runs reach the same
+// steady state of ~260 live calls: the peak goes 1,247 -> 1,494 events.
+// Queuing all three lifecycle events of every call up front would make it
+// 1,915 -> 6,415.
+TEST(Churn, PeakPendingTracksLiveCallsNotCallCount) {
+  const auto small = static_cast<double>(churnStats(500, 50.0).peak_pending);
+  const auto large = static_cast<double>(churnStats(2000, 50.0).peak_pending);
+  EXPECT_LE(large, 1.25 * small)
+      << "peak pending " << small << " at 500 calls vs " << large
       << " at 2000 calls";
 }
 

@@ -183,6 +183,59 @@ TEST(Framing, ChecksumCatchesHeaderLengthCorruption) {
   EXPECT_EQ(decoder.corruptFrames(), 1u);
 }
 
+// A whole burst arriving as one read: popping a frame must not move the
+// bytes behind it, or one chunk of n frames costs O(n^2) byte moves. The
+// decoder works through tens of thousands of frames fed at once, in order,
+// skipping the corrupt ones, and buffered() counts only the bytes not yet
+// consumed.
+TEST(Framing, OneLargeChunkYieldsEveryFrameInOrder) {
+  constexpr std::uint32_t kFrames = 45'000;
+  std::vector<std::uint8_t> stream;
+  std::vector<std::vector<std::uint8_t>> expected;
+  std::uint64_t corrupt = 0;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    std::vector<std::uint8_t> body(4 + i % 29);
+    for (std::size_t k = 0; k < body.size(); ++k) {
+      body[k] = static_cast<std::uint8_t>((i >> (8 * (k % 4))) + k);
+    }
+    std::vector<std::uint8_t> frame = encodeRawFrame(body);
+    if (i % 97 == 13) {
+      frame.back() ^= 0x5a;  // body no longer matches its checksum
+      ++corrupt;
+    } else {
+      expected.push_back(std::move(body));
+    }
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+
+  RawFrameDecoder decoder;
+  decoder.feed(stream.data(), stream.size());
+  EXPECT_EQ(decoder.buffered(), stream.size());
+  std::vector<std::vector<std::uint8_t>> got;
+  got.reserve(expected.size());
+  while (auto body = decoder.next()) {
+    if (got.empty()) {
+      EXPECT_EQ(decoder.buffered(), stream.size() - 8 - body->size());
+    }
+    got.push_back(std::move(*body));
+  }
+  EXPECT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(got == expected);
+  EXPECT_EQ(decoder.corruptFrames(), corrupt);
+  EXPECT_FALSE(decoder.error());
+  EXPECT_EQ(decoder.buffered(), 0u);
+
+  // The consumed bytes are dropped on the next feed; a frame split across
+  // two feeds still decodes.
+  const std::vector<std::uint8_t> tail = encodeRawFrame({9, 8, 7});
+  decoder.feed(tail.data(), 5);
+  EXPECT_EQ(decoder.next(), std::nullopt);
+  EXPECT_EQ(decoder.buffered(), 5u);
+  decoder.feed(tail.data() + 5, tail.size() - 5);
+  EXPECT_EQ(decoder.next(), (std::vector<std::uint8_t>{9, 8, 7}));
+  EXPECT_EQ(decoder.buffered(), 0u);
+}
+
 // ----------------------------------------------------------- mutation
 // Seeded, structure-aware mutation of valid multi-frame streams: byte
 // flips, truncations, length-header edits (+-1 and beyond kMaxFrame),

@@ -322,6 +322,97 @@ TEST(ObsProbesTest, UnsatisfiedProbeStaysArmed) {
   EXPECT_FALSE(sim.probes().latencyUs("never").has_value());
 }
 
+// A probe scoped to the boxes its predicate reads must record exactly what
+// an unscoped probe over the same predicate records, while being evaluated
+// only when one of those boxes is stimulated. A second call between C and D
+// keeps unrelated boxes busy throughout.
+TEST(ObsProbesTest, WatchedProbeRecordsTheSameLatencyAsAnUnscopedOne) {
+  Simulator sim(TimingModel::paperDefaults(), 11);
+  auto addPhone = [&](const std::string& name, const char* ip) -> auto& {
+    return sim.addBox<UserDeviceBox>(name, sim.mediaNetwork(), sim.loop(),
+                                     MediaAddress::parse(ip, 5000));
+  };
+  auto& a = addPhone("A", "10.0.0.1");
+  auto& b = addPhone("B", "10.0.0.2");
+  addPhone("C", "10.0.0.3");
+  addPhone("D", "10.0.0.4");
+  int unscoped_evals = 0;
+  int watched_evals = 0;
+  auto inCall = [&a, &b]() {
+    const auto& sa = a.media().sendingState();
+    const auto& sb = b.media().sendingState();
+    return sa && sb && sa->target == b.media().address() &&
+           sb->target == a.media().address();
+  };
+  sim.probes().arm("unscoped", "setup", sim.nowUs(), [&]() {
+    ++unscoped_evals;
+    return inCall();
+  });
+  sim.probes().arm(
+      "watched", "setup", sim.nowUs(),
+      [&]() {
+        ++watched_evals;
+        return inCall();
+      },
+      /*deadline_us=*/0, {a.id().value(), b.id().value()});
+  sim.inject("C", [](Box& box) { static_cast<UserDeviceBox&>(box).placeCall("D"); });
+  sim.runFor(20_ms);
+  sim.inject("A", [](Box& box) { static_cast<UserDeviceBox&>(box).placeCall("B"); });
+  sim.runFor(5_s);
+
+  EXPECT_EQ(sim.probes().convergedCount(), 2u);
+  const auto unscoped = sim.probes().latencyUs("unscoped");
+  const auto watched = sim.probes().latencyUs("watched");
+  ASSERT_TRUE(unscoped.has_value());
+  ASSERT_TRUE(watched.has_value());
+  EXPECT_EQ(*watched, *unscoped);
+  EXPECT_LT(watched_evals, unscoped_evals)
+      << "the watched probe was evaluated on stimuli of C and D";
+}
+
+// Scoping narrows which predicates a check runs, never when a watchdog
+// fires: a probe watching a box that is never stimulated still fails at
+// the first check at or after its deadline, the same check as an unscoped
+// one, and both fail in arming order. A probe is evaluated at its first
+// check after arming whatever box that check names, and after that only at
+// checks naming a box it watches.
+TEST(ObsProbesTest, WatchedDeadlineFailsAtTheSameCheckAsAnUnscopedOne) {
+  obs::ConvergenceProbes probes;
+  std::vector<std::pair<std::string, std::int64_t>> failures;
+  probes.setOnFailure([&](const std::string& name, std::int64_t now_us) {
+    failures.emplace_back(name, now_us);
+  });
+  const std::uint64_t kIdle = 7;
+  const std::uint64_t kBusy = 9;
+  probes.arm("watched", "never", 0, []() { return false; },
+             /*deadline_us=*/100, {kIdle});
+  probes.arm("unscoped", "never", 0, []() { return false; },
+             /*deadline_us=*/100);
+  probes.check(50, kBusy);
+  EXPECT_TRUE(failures.empty());
+  probes.check(150, kBusy);
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_EQ(failures[0], (std::pair<std::string, std::int64_t>{"watched", 150}));
+  EXPECT_EQ(failures[1], (std::pair<std::string, std::int64_t>{"unscoped", 150}));
+  EXPECT_EQ(probes.failed(), (std::vector<std::string>{"watched", "unscoped"}));
+  EXPECT_TRUE(probes.empty());
+
+  bool resting = false;
+  int evals = 0;
+  probes.arm("late", "late", 200, [&]() {
+    ++evals;
+    return resting;
+  }, /*deadline_us=*/0, {kIdle});
+  probes.check(210, kBusy);  // first check after arming: evaluated
+  EXPECT_EQ(evals, 1);
+  resting = true;
+  probes.check(220, kBusy);  // not watching kBusy: not evaluated
+  EXPECT_EQ(evals, 1);
+  EXPECT_FALSE(probes.latencyUs("late").has_value());
+  probes.check(230, kIdle);
+  EXPECT_EQ(probes.latencyUs("late"), std::optional<std::int64_t>{30});
+}
+
 TEST(ObsFlightRecorderTest, ProbeDeadlineTriggersPostMortemDump) {
   Simulator sim(TimingModel::paperDefaults(), 17);
   obs::TraceRecorder rec;

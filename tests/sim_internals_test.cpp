@@ -198,6 +198,32 @@ TEST(SimInternals, PendingTimerAndTeardownForARetiredBoxAreNoOps) {
   EXPECT_EQ(sim.box("a").slotCount(), 0u);
 }
 
+// A channel end caches its box for delivery. A box that lets go of its end
+// without a teardown output can still be retired; its end must close with
+// it, so a signal sent toward it later is lost rather than delivered to a
+// freed box, or to a new box registered under the same name.
+TEST(SimInternals, SignalTowardARetiredBoxIsLost) {
+  Simulator sim(TimingModel::paperDefaults(), 1);
+  sim.addBox<Box>("a");
+  sim.addBox<Box>("b");
+  const ChannelId ch = sim.connect("a", "b");
+  sim.box("b").removeChannel(ch);
+  ASSERT_TRUE(sim.retireBox("b"));
+  auto& fresh = sim.addBox<Box>("b");
+
+  const SlotId slot = sim.box("a").slotsOf(ch).at(0);
+  sim.inject("a", [slot](Box& box) {
+    box.setGoal(slot, OpenSlotGoal{Medium::audio,
+                                   MediaIntent::endpoint(
+                                       MediaAddress::parse("10.0.0.1", 5000),
+                                       {Codec::g711u}),
+                                   DescriptorFactory{1}});
+  });
+  sim.runFor(1_s);  // the open goes out (and is retried) but lands nowhere
+  EXPECT_EQ(sim.signalsDelivered(), 0u);
+  EXPECT_EQ(fresh.slotCount(), 0u);
+}
+
 TEST(SimInternals, ReRegisteredNameGetsAFreshRefreshTickChain) {
   // Ticks every 300 ms while faults may still be injected (first second).
   FaultSpec spec;
