@@ -133,6 +133,12 @@ bool PathSystem::mediaEnabled(PathEnd sender) const noexcept {
 
 std::vector<PathAction> PathSystem::enabledActions() const {
   std::vector<PathAction> actions;
+  enabledActions(actions);
+  return actions;
+}
+
+void PathSystem::enabledActions(std::vector<PathAction>& actions) const {
+  actions.clear();
   for (std::uint32_t ch = 0; ch < channels_.size(); ++ch) {
     for (Side towards : {Side::A, Side::B}) {
       if (channels_[ch].hasMessageToward(towards)) {
@@ -202,7 +208,6 @@ std::vector<PathAction> PathSystem::enabledActions() const {
       }
     }
   }
-  return actions;
 }
 
 void PathSystem::apply(const PathAction& action) {

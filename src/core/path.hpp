@@ -129,6 +129,9 @@ class PathSystem {
 
   // --- Actions ------------------------------------------------------------
   [[nodiscard]] std::vector<PathAction> enabledActions() const;
+  // The same actions, in the same order, written over `out` (the model
+  // checker refills one buffer per worker instead of growing a new list).
+  void enabledActions(std::vector<PathAction>& out) const;
   // Applies an action. Throws std::logic_error on a disabled action.
   void apply(const PathAction& action);
 

@@ -12,7 +12,9 @@
 //   StateArena  append-only blocks holding each state's canonical bytes
 //               once, behind a small header with the state's index. A
 //               fresh state costs no heap node of its own, and the whole
-//               arena frees in one release per 64 KiB block.
+//               arena frees in one release per 64 KiB block. The records
+//               appended since a mark can be compacted in place, keeping
+//               some and reusing the room of the rest.
 //   SeenSet     a flat open-addressing table of (fingerprint, record)
 //               slots over such records, for one partition of the
 //               fingerprint space.
@@ -22,7 +24,8 @@
 // separated by barriers: lookups in every partition happen while no table
 // is written, and each partition is written only by its owner. Records are
 // never moved or freed while the arena lives, so a record pointer handed
-// to another partition stays valid.
+// to another partition stays valid until its owner compacts them (the
+// explorer repoints its table slots before any other worker reads them).
 #pragma once
 
 #include <algorithm>
@@ -53,28 +56,54 @@ class StateArena {
     }
   };
 
-  // Copies `bytes` into the arena; the record stays put until destruction.
+  // Copies `bytes` into the arena. The record stays put until destruction,
+  // unless a rewind() to an earlier mark forgets it.
   Record* append(std::span<const std::uint8_t> bytes, std::uint32_t index) {
-    const std::size_t need =
-        (sizeof(Record) + bytes.size() + alignof(Record) - 1) &
-        ~(alignof(Record) - 1);
+    const std::size_t need = footprint(bytes.size());
     std::uint8_t* at;
     if (need > kBlockBytes) {
       // Larger than a block: its own allocation, the open block stays.
-      at = newBlock(need);
+      at = large_
+               .emplace_back(
+                   std::make_unique_for_overwrite<std::uint8_t[]>(need))
+               .get();
     } else {
-      if (need > left_) {
-        cursor_ = newBlock(kBlockBytes);
-        left_ = kBlockBytes;
-      }
-      at = cursor_;
-      cursor_ += need;
-      left_ -= need;
+      at = place(need);
     }
     Record* record =
         new (at) Record{static_cast<std::uint32_t>(bytes.size()), index};
     std::memcpy(at + sizeof(Record), bytes.data(), bytes.size());
     return record;
+  }
+
+  // Where the next append goes.
+  struct Mark {
+    std::size_t filled;  // blocks in use
+    std::size_t left;    // room left in the last of them
+  };
+  [[nodiscard]] Mark mark() const noexcept { return {filled_, left_}; }
+
+  // Forgets the records appended since `mark`; later appends reuse their
+  // blocks. Their bytes stay readable until keep() or append() overwrite
+  // them.
+  void rewind(Mark mark) noexcept {
+    filled_ = mark.filled;
+    left_ = mark.left;
+    cursor_ = filled_ == 0 ? nullptr
+                           : blocks_[filled_ - 1].get() + kBlockBytes - left_;
+  }
+
+  // Re-appends `record`, one the last rewind() forgot, by moving it down to
+  // where the next append goes, and returns its new place. Kept in their
+  // append order, the records never move up, so none overwrites a forgotten
+  // record that is still to be kept. A record larger than a block keeps its
+  // own allocation and does not move.
+  Record* keep(Record* record) {
+    const std::size_t need = footprint(record->size);
+    if (need > kBlockBytes) return record;
+    std::uint8_t* at = place(need);
+    std::memmove(at, record, need);
+    return std::launder(reinterpret_cast<Record*>(at));
   }
 
  private:
@@ -83,13 +112,31 @@ class StateArena {
   // blocks measured the same peak RSS and speed there.
   static constexpr std::size_t kBlockBytes = 64 * 1024;
 
-  std::uint8_t* newBlock(std::size_t size) {
-    return blocks_
-        .emplace_back(std::make_unique_for_overwrite<std::uint8_t[]>(size))
-        .get();
+  [[nodiscard]] static std::size_t footprint(std::size_t size) noexcept {
+    return (sizeof(Record) + size + alignof(Record) - 1) &
+           ~(alignof(Record) - 1);
   }
 
-  std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;
+  // Room for `need` (at most kBlockBytes) bytes at the cursor, opening the
+  // next block (one a rewind left, or a new one) when the open one is full.
+  std::uint8_t* place(std::size_t need) {
+    if (need > left_) {
+      if (filled_ == blocks_.size()) {
+        blocks_.push_back(
+            std::make_unique_for_overwrite<std::uint8_t[]>(kBlockBytes));
+      }
+      cursor_ = blocks_[filled_++].get();
+      left_ = kBlockBytes;
+    }
+    std::uint8_t* at = cursor_;
+    cursor_ += need;
+    left_ -= need;
+    return at;
+  }
+
+  std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;  // kBlockBytes each
+  std::vector<std::unique_ptr<std::uint8_t[]>> large_;   // one record each
+  std::size_t filled_ = 0;  // blocks_ in use; the last is the open one
   std::uint8_t* cursor_ = nullptr;
   std::size_t left_ = 0;
 };
@@ -141,6 +188,17 @@ class SeenSet {
         collided = true;
       }
     }
+  }
+
+  // Points the slot holding `from` (stored under `fingerprint`) at `to`, a
+  // record with the same bytes. `from` is only compared, never read, so it
+  // may already have been moved or overwritten.
+  void repoint(std::uint64_t fingerprint, const Record* from,
+               Record* to) noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t at = fingerprint & mask;
+    while (slots_[at].record != from) at = (at + 1) & mask;
+    slots_[at].record = to;
   }
 
   // Forgets every entry, keeping the slot capacity.

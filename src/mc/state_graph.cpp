@@ -4,7 +4,7 @@
 #include <barrier>
 #include <chrono>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <thread>
 
 #include "mc/seen_set.hpp"
@@ -71,30 +71,63 @@ struct Expanded {
 // A successor unknown to every earlier level and the first of its bytes in
 // the worker's chunk. Phase B decides whether it is also the first in the
 // whole level; phase C indexes the first ones.
+//
+// A candidate is named across workers by its code, id * workers + worker
+// (a 32-bit index space holds it: a worker's candidates in one level are
+// far fewer than 2^32 / workers), which its record's `index` carries from
+// phase B until phase C moves the record.
 struct Candidate {
   std::uint64_t fingerprint;
-  StateArena::Record* own;     // the worker's arena copy of its bytes
-  StateArena::Record* winner;  // phase B: `own`, or an earlier chunk's record
-  std::uint32_t parent;        // frontier position of the state it came from
-  std::uint32_t successor;     // position of its first use in `successors`
+  StateArena::Record* own;   // its bytes, appended to the arena in phase A
+  StateArena::Record* kept;  // phase C: where `own` moved, if indexed
+  std::uint32_t first;   // phase B: code of the level's first such candidate
+  std::uint32_t parent;  // frontier position of the state it came from
+  std::uint32_t successor;  // position of its first use in `successors`
   PathAction action;
   bool collided;  // phase B: its fingerprint already held other bytes
 };
 
+using SystemPtr = std::unique_ptr<PathSystem>;
+
 // Aligned so that the partition other workers read in phase A shares no
 // cache line with another worker's writes.
 struct alignas(64) Worker {
+  // `system` copied into a spare PathSystem, or into a new one when none is
+  // spare. Assigning over a spare reuses the capacity of its vectors.
+  SystemPtr copyOf(const PathSystem& system) {
+    if (spare.empty()) return std::make_unique<PathSystem>(system);
+    SystemPtr copy = std::move(spare.back());
+    spare.pop_back();
+    *copy = system;
+    return copy;
+  }
+  // Keeps a system this worker is done with for reuse, as long as fewer
+  // are spare than one expanded state can take; frees it otherwise.
+  void release(SystemPtr& system) {
+    if (spare.size() < spare_limit) spare.push_back(std::move(system));
+    system.reset();
+  }
+
   // Kept for the whole run.
   SeenSet seen;  // this worker's partition of the fingerprint space
-  alignas(64) StateArena arena;  // bytes of every state this worker discovered
-  // Systems parallel to the candidates: `held` for the level being
-  // expanded (the frontier points into it), `systems` for the next one.
-  std::vector<std::optional<PathSystem>> held, systems;
+  // Bytes of every state this worker indexed, followed in phases A to C by
+  // those of its candidates; phase C compacts that tail to the indexed ones.
+  alignas(64) StateArena arena;
 
   // Reused every level, so their capacity survives from one to the next.
   ByteWriter writer;
-  std::optional<PathSystem> scratch;  // optional only for want of a default
-  SeenSet local;                      // this level's candidates
+  std::vector<PathAction> actions;  // of the state being expanded
+  SystemPtr scratch;                // the successor being canonicalized
+  std::vector<SystemPtr> systems;   // parallel to the candidates
+  // Systems this worker released, from its expanded frontier states and
+  // its candidates that lost to an earlier chunk. Only worker w touches
+  // workers_[w].spare, in its own phases A and C. At most `spare_limit`
+  // are kept: the most successors one state this worker expanded has had,
+  // which is the most a single expansion can take from the list.
+  std::vector<SystemPtr> spare;
+  std::size_t spare_limit = 0;
+  StateArena::Mark level_mark;  // the arena's end before this level
+  SeenSet local;                // this level's candidates
   std::vector<Candidate> candidates;
   std::vector<Expanded> expanded;
   std::vector<Successor> successors;
@@ -118,22 +151,29 @@ struct alignas(64) Worker {
 //   A  expand  Each worker expands its chunk in order, looking successors
 //              up read-only in their owning partition (nothing writes a
 //              table in this phase). Unknown ones become candidates: bytes
-//              into the worker's arena, system copied, id filed in the
-//              outbox of the owning partition. A worker-local table folds
-//              repeats inside the chunk, where most duplicates of a level
-//              arise.
+//              appended to the worker's arena, system kept (successors
+//              are built in the worker's spare systems while it has any),
+//              id filed in the outbox of the owning partition. A
+//              worker-local table folds repeats inside the chunk, where
+//              most duplicates of a level arise. Expanded states go to the
+//              spare list, up to its limit.
 //   B  dedup   Each owner inserts its outboxes' candidates in (worker,
 //              candidate) order, which is (frontier position, action
 //              ordinal) order. The first occurrence of each state wins.
 //   C  index   Fresh states get consecutive indices in that same order,
-//              from per-worker offsets, and the frontier's edges are
-//              resolved; the state budget cuts at exactly the successor
-//              that a sequential walk would fail on.
+//              from per-worker offsets; each worker moves their bytes down
+//              over those of its other candidates and their systems to the
+//              next frontier. Then the frontier's edges are resolved and
+//              each owner points its table at the moved bytes. The state
+//              budget cuts at exactly the successor that a sequential walk
+//              would fail on.
 //
 // The order is the one a single sequential BFS assigns, so indices,
 // parents, edges, traces and truncation points do not depend on the
 // number of workers. Worker 0 is the calling thread; the serial steps
-// between phases run in the barrier's completion.
+// between phases run in the barrier's completion. No step of a level
+// allocates per successor: the action list, the byte writer and the
+// systems are reused, and the arena keeps only indexed states' bytes.
 class Explorer {
  public:
   Explorer(const PathSystem& initial, const ExploreLimits& limits,
@@ -163,6 +203,15 @@ class Explorer {
   }
   [[nodiscard]] std::size_t chunkStart(std::size_t w) const noexcept {
     return frontier_.size() * w / workers_.size();
+  }
+  [[nodiscard]] std::uint32_t codeOf(std::size_t w,
+                                     std::size_t id) const noexcept {
+    return static_cast<std::uint32_t>(id * workers_.size() + w);
+  }
+  [[nodiscard]] const Candidate& candidateOf(
+      std::uint32_t code) const noexcept {
+    return workers_[code % workers_.size()]
+        .candidates[code / workers_.size()];
   }
 
   // noexcept: a worker that threw would leave the others waiting at a
@@ -206,7 +255,7 @@ class Explorer {
   // Written only by the serial steps (and `cut_*` by the one cutting
   // worker in phase C), read by the workers after the next barrier.
   Phase phase_ = Phase::expand;
-  std::vector<std::optional<PathSystem>*> frontier_, next_frontier_;
+  std::vector<SystemPtr> frontier_, next_frontier_;
   std::uint32_t level_start_ = 0;  // index of frontier_[0]
   std::uint32_t next_ = 1;         // states indexed before this level
   std::size_t cut_state_ = std::numeric_limits<std::size_t>::max();
@@ -237,8 +286,7 @@ Explorer::Explorer(const PathSystem& initial, const ExploreLimits& limits,
   StateArena::Record* record = first.arena.append(first.writer.bytes(), 0);
   workers_[partitionOf(fingerprint)].seen.insert(fingerprint, record);
   result_.bytes_canonical = record->size;
-  first.held.emplace_back(initial);
-  frontier_.push_back(&first.held.back());
+  frontier_.push_back(std::make_unique<PathSystem>(initial));
   result_.bits.push_back(StateBits{});
   result_.edges.emplace_back();
   result_.parent.push_back(0);
@@ -248,20 +296,26 @@ Explorer::Explorer(const PathSystem& initial, const ExploreLimits& limits,
 
 void Explorer::expand(std::size_t w) {
   Worker& self = workers_[w];
-  self.systems.clear();  // the level before last: expanded, all reset
+  self.systems.clear();  // last level's: all moved on by phase C
   self.candidates.clear();
   self.expanded.clear();
   self.successors.clear();
   self.local.clear();
+  self.level_mark = self.arena.mark();
   for (std::vector<std::uint32_t>& box : self.outbox) box.clear();
   const std::size_t end = chunkStart(w + 1);
   for (std::size_t pos = chunkStart(w); pos < end; ++pos) {
     CMC_PROF_SCOPE("mc.expand_state");
-    std::optional<PathSystem>& node = *frontier_[pos];
+    SystemPtr& node = frontier_[pos];
     const PathSystem& system = *node;
-    const std::vector<PathAction> actions = system.enabledActions();
-    for (const PathAction& action : actions) {
-      self.scratch = system;
+    system.enabledActions(self.actions);
+    self.spare_limit = std::max(self.spare_limit, self.actions.size());
+    for (const PathAction& action : self.actions) {
+      if (self.scratch) {
+        *self.scratch = system;
+      } else {
+        self.scratch = self.copyOf(system);
+      }
       self.scratch->apply(action);
       self.writer.clear();
       {
@@ -288,17 +342,17 @@ void Explorer::expand(std::size_t w) {
         self.local.insert(fingerprint, record);
         self.outbox[partition].push_back(id);
         self.candidates.push_back(Candidate{
-            fingerprint, record, nullptr, static_cast<std::uint32_t>(pos),
+            fingerprint, record, nullptr, 0, static_cast<std::uint32_t>(pos),
             static_cast<std::uint32_t>(self.successors.size()), action,
             false});
-        self.systems.emplace_back(*self.scratch);
+        self.systems.push_back(std::move(self.scratch));
         self.successors.push_back(Successor{id, true});
       }
     }
     self.expanded.push_back(
-        Expanded{bitsOf(system, actions.empty()),
+        Expanded{bitsOf(system, self.actions.empty()),
                  static_cast<std::uint32_t>(self.successors.size())});
-    node.reset();
+    self.release(node);
   }
 }
 
@@ -312,9 +366,13 @@ void Explorer::dedup(std::size_t w) {
       Candidate& candidate = source.candidates[id];
       const SeenSet::Claim claim =
           owner.seen.insert(candidate.fingerprint, candidate.own);
-      candidate.winner = claim.record;
+      if (claim.inserted) {
+        // Later claims on these bytes in this phase find the code here.
+        candidate.own->index = codeOf(v, id);
+        ++firsts;
+      }
+      candidate.first = claim.record->index;
       candidate.collided = claim.collided;
-      firsts += claim.inserted ? 1 : 0;
     }
     owner.firsts_from[v] = firsts;
   }
@@ -327,10 +385,13 @@ void Explorer::index(std::size_t w) {
   std::size_t fresh = 0;
   self.collisions = 0;
   self.bytes = 0;
+  // The candidates' bytes move down over those of the ones not indexed.
+  self.arena.rewind(self.level_mark);
   for (std::size_t id = 0; id < self.candidates.size(); ++id) {
     Candidate& candidate = self.candidates[id];
-    if (candidate.winner != candidate.own) {
-      self.systems[id].reset();  // an earlier chunk reached it first
+    if (candidate.first != codeOf(w, id)) {
+      // An earlier chunk reached it first.
+      self.release(self.systems[id]);
       continue;
     }
     if (fresh == self.index_limit) {
@@ -342,17 +403,29 @@ void Explorer::index(std::size_t w) {
     }
     ++fresh;
     const std::uint32_t index = next++;
-    candidate.own->index = index;
+    self.bytes += candidate.own->size;
+    candidate.kept = self.arena.keep(candidate.own);
+    candidate.kept->index = index;
     result_.parent[index] = level_start_ + candidate.parent;
     result_.parent_action[index] = candidate.action;
-    next_frontier_[index - next_] = &self.systems[id];
+    next_frontier_[index - next_] = std::move(self.systems[id]);
     self.collisions += candidate.collided ? 1 : 0;
-    self.bytes += candidate.own->size;
   }
 }
 
 void Explorer::link(std::size_t w) {
   Worker& self = workers_[w];
+  // As partition owner: point the slots of this level's indexed states at
+  // where phase C moved their bytes.
+  for (const Worker& source : workers_) {
+    for (const std::uint32_t id : source.outbox[w]) {
+      const Candidate& candidate = source.candidates[id];
+      if (candidate.kept != nullptr) {
+        self.seen.repoint(candidate.fingerprint, candidate.own,
+                          candidate.kept);
+      }
+    }
+  }
   self.transitions = 0;
   self.terminals = 0;
   const std::size_t start = chunkStart(w);
@@ -372,9 +445,11 @@ void Explorer::link(std::size_t w) {
       targets.reserve(end - begin);
       for (std::size_t s = begin; s < end; ++s) {
         const Successor& successor = self.successors[s];
-        targets.push_back(successor.candidate
-                              ? self.candidates[successor.value].winner->index
-                              : successor.value);
+        targets.push_back(
+            successor.candidate
+                ? candidateOf(self.candidates[successor.value].first)
+                      .kept->index
+                : successor.value);
       }
     }
     result_.bits[state] = expanded.bits;
@@ -425,7 +500,8 @@ void Explorer::plan() {
   result_.edges.resize(base);
   result_.parent.resize(base, 0);
   result_.parent_action.resize(base);
-  next_frontier_.assign(base - next_, nullptr);
+  next_frontier_.clear();  // emptied: its states went to spare lists
+  next_frontier_.resize(base - next_);
 }
 
 void Explorer::finishLevel() {
@@ -434,7 +510,6 @@ void Explorer::finishLevel() {
     result_.terminals += worker.terminals;
     result_.stats.collisions += worker.collisions;
     result_.bytes_canonical += worker.bytes;
-    std::swap(worker.held, worker.systems);
   }
   frontier_.swap(next_frontier_);
   level_start_ = next_;

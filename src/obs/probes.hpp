@@ -15,7 +15,10 @@
 // predicate reads (its watch set); the host's per-stimulus check then
 // evaluates only the probes watching the stimulated box, so the cost of a
 // stimulus does not grow with the number of probes armed for unrelated
-// paths. Probes are owned by a single simulation thread; they are not
+// paths. Arming and settling a probe allocate nothing once the probe set
+// has held its most probes at once: slots, the watch index and the check
+// buffers keep their capacity. Probes are owned by a single simulation
+// thread; they are not
 // thread-safe by design. All timestamps — arm instants and watchdog
 // deadlines — are in the hosting loop's virtual time, and the deadline
 // path resolves the flight recorder through obs::flightRecorder(), which
@@ -25,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -35,6 +39,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/small_vec.hpp"
 
 namespace cmc::obs {
 
@@ -44,8 +49,9 @@ class ConvergenceProbes {
   using FailureHandler =
       std::function<void(const std::string& name, std::int64_t now_us)>;
   // The boxes (BoxId::value()) whose state a predicate reads. Empty means
-  // "any box": the probe is evaluated at every check.
-  using Watch = std::vector<std::uint64_t>;
+  // "any box": the probe is evaluated at every check. A call's probe
+  // watches two or three boxes, which fit inline.
+  using Watch = SmallVec<std::uint64_t, 4>;
 
   // Arm a probe. `bucket` names the histogram the latency lands in (several
   // probes — e.g. runs with different seeds — may share one bucket);
@@ -84,8 +90,8 @@ class ConvergenceProbes {
   // recorder dump; hosts use it to abort or log.
   void setOnFailure(FailureHandler handler) { on_failure_ = std::move(handler); }
 
-  [[nodiscard]] bool empty() const noexcept { return armed_.empty(); }
-  [[nodiscard]] std::size_t armedCount() const noexcept { return armed_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return armed_ == 0; }
+  [[nodiscard]] std::size_t armedCount() const noexcept { return armed_; }
   [[nodiscard]] std::size_t convergedCount() const noexcept { return converged_; }
   [[nodiscard]] std::size_t failedCount() const noexcept {
     return failed_.size();
@@ -113,7 +119,11 @@ class ConvergenceProbes {
   void reset();
 
  private:
+  // One slot of the probe table; a settled probe's slot is reused by a
+  // later arm, which then assigns over its strings and watch list.
   struct Armed {
+    std::uint64_t seq = 0;  // arming sequence
+    bool live = false;      // armed, not yet settled or disarmed
     std::string name;
     std::string bucket;
     std::int64_t start_us = 0;
@@ -121,26 +131,79 @@ class ConvergenceProbes {
     Predicate quiescent;
     Watch watch;
   };
+  // A probe as the check lists name it. The sequence number tells the
+  // probe apart from a later one that reuses its slot.
+  struct Ref {
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
   // Earliest deadline first; entries of probes already settled or disarmed
   // are skipped when they surface.
-  using Deadline = std::pair<std::int64_t, std::uint64_t>;
+  struct Deadline {
+    std::int64_t at_us;
+    Ref probe;
+    friend bool operator>(const Deadline& a, const Deadline& b) noexcept {
+      return a.at_us != b.at_us ? a.at_us > b.at_us
+                                : a.probe.seq > b.probe.seq;
+    }
+  };
 
-  // Evaluate the probes whose sequence numbers are in due_ (any order,
-  // duplicates allowed), in arming order; empties due_.
+  // Box -> slots of the probes watching it: a multimap in one flat
+  // open-addressing table (linear probing, backward-shift erase), so
+  // watching a box costs no heap node.
+  class WatchIndex {
+   public:
+    void insert(std::uint64_t box, std::uint32_t slot);
+    void erase(std::uint64_t box, std::uint32_t slot);
+    // Calls f(slot) for every probe watching `box`.
+    template <typename F>
+    void forEach(std::uint64_t box, F&& f) const {
+      if (size_ == 0) return;
+      const std::size_t mask = entries_.size() - 1;
+      for (std::size_t at = home(box, mask); entries_[at].used;
+           at = (at + 1) & mask) {
+        if (entries_[at].box == box) f(entries_[at].slot);
+      }
+    }
+    void clear() noexcept;
+
+   private:
+    struct Entry {
+      std::uint64_t box = 0;
+      std::uint32_t slot = 0;
+      bool used = false;
+    };
+    [[nodiscard]] static std::size_t home(std::uint64_t box,
+                                          std::size_t mask) noexcept;
+    std::vector<Entry> entries_;  // empty, or a power of two
+    std::size_t size_ = 0;
+  };
+
+  [[nodiscard]] bool isLive(const Ref& ref) const noexcept {
+    const Armed& probe = slots_[ref.slot];
+    return probe.live && probe.seq == ref.seq;
+  }
+  // Evaluate the probes in due_ (any order, duplicates allowed), in arming
+  // order; empties due_.
   std::size_t evaluate(std::int64_t now_us);
   // Queue every probe whose deadline is at or before `now_us`.
   void collectExpired(std::int64_t now_us);
-  // Forget an armed probe and its watch entries.
-  void retire(std::map<std::uint64_t, Armed>::iterator it);
+  // Forget an armed probe and its watch entries, freeing its slot.
+  void retire(std::uint32_t slot);
 
-  std::map<std::uint64_t, Armed> armed_;  // keyed by arming sequence
-  std::unordered_multimap<std::uint64_t, std::uint64_t> watchers_;  // box → seq
-  std::vector<std::uint64_t> unscoped_;  // probes with an empty watch set
-  std::vector<std::uint64_t> fresh_;     // armed since the last check
+  // Probe slots. A deque, so a predicate or failure handler that arms a
+  // probe while another is evaluated moves no slot.
+  std::deque<Armed> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t armed_ = 0;
+  WatchIndex watchers_;
+  std::vector<std::uint32_t> unscoped_;  // slots with an empty watch set
+  std::vector<Ref> fresh_;               // armed since the last check
   std::priority_queue<Deadline, std::vector<Deadline>, std::greater<>>
       deadlines_;
-  std::vector<std::uint64_t> due_;  // scratch: probes one check evaluates
+  std::vector<Ref> due_;  // scratch: probes one check evaluates
   std::uint64_t next_seq_ = 0;
+  std::string metric_name_;  // scratch: "probe.<bucket>_us"
   std::map<std::string, Histogram> histograms_;
   std::unordered_map<std::string, std::int64_t> results_;
   std::vector<std::string> failed_;

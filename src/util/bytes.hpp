@@ -7,6 +7,7 @@
 // needed.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -17,43 +18,71 @@
 
 namespace cmc {
 
+// Appends each field with one bounds check and one memcpy into capacity the
+// writer keeps: its vector is sized out to the whole capacity, and only the
+// first size() bytes are written ones. bytes() and take() cut the vector
+// back to those, so callers see exactly what was written. A writer reused
+// across clear() (the explorer canonicalizes every successor with one)
+// stops allocating once it has held its longest encoding.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-
-  void u32(std::uint32_t v) {
-    std::uint8_t le[4];
-    for (int i = 0; i < 4; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    buf_.insert(buf_.end(), le, le + 4);
-  }
-
-  void u64(std::uint64_t v) {
-    std::uint8_t le[8];
-    for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    buf_.insert(buf_.end(), le, le + 8);
-  }
+  void u8(std::uint8_t v) { *append(1) = v; }
+  void u16(std::uint16_t v) { le(v); }
+  void u32(std::uint32_t v) { le(v); }
+  void u64(std::uint64_t v) { le(v); }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
 
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    if (!s.empty()) std::memcpy(append(s.size()), s.data(), s.size());
   }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
-  // Empty the buffer but keep its capacity, so a writer reused across many
-  // encodings (the explorer canonicalizes every successor) stops allocating.
-  void clear() noexcept { buf_.clear(); }
+  // The bytes written so far (the vector is cut to them, keeping capacity).
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
+    buf_.resize(size_);
+    return buf_;
+  }
+  [[nodiscard]] std::vector<std::uint8_t> take() noexcept {
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  // Empty the writer but keep its capacity.
+  void clear() noexcept { size_ = 0; }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  // Room for `n` more bytes, which the caller then fills.
+  std::uint8_t* append(std::size_t n) {
+    if (buf_.size() - size_ < n) [[unlikely]] expand(n);
+    std::uint8_t* at = buf_.data() + size_;
+    size_ += n;
+    return at;
+  }
+
+  // Sizes the vector out to its capacity, or past it when `n` does not
+  // fit, where the vector's own growth doubles it.
+  void expand(std::size_t n) {
+    constexpr std::size_t kFirstCapacity = 64;
+    buf_.resize(std::max({buf_.capacity(), size_ + n, kFirstCapacity}));
+  }
+
+  template <typename T>
+  void le(T v) {
+    std::uint8_t* at = append(sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(at, &v, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    }
+  }
+
+  // Invariant: size_ <= buf_.size(). Mutable so bytes() can cut it.
+  mutable std::vector<std::uint8_t> buf_;
+  std::size_t size_ = 0;
 };
 
 // Reader over a borrowed byte span. All reads are checked: running off the

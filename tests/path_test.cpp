@@ -3,6 +3,9 @@
 // and goal replacement mid-flight.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "core/path.hpp"
 
 namespace cmc {
@@ -394,6 +397,80 @@ TEST(PathActions, ModifyBudgetExposesModifyActions) {
     if (a.kind == PathAction::Kind::modifyMute) ++modifies;
   }
   EXPECT_EQ(modifies, 6u);  // 3 non-current combos per endpoint
+}
+
+// ---------------------------------------------------------------- recycling
+//
+// The model checker keeps one action buffer per worker and assigns each
+// successor over a PathSystem that last held another state. These tests
+// pin the properties that relies on, over every state of openSlot/openSlot
+// with no flowlink and chaos and modify budgets of 1 (the explorer's
+// 13,470-state model).
+
+std::vector<std::uint8_t> canonicalBytes(const PathSystem& system) {
+  ByteWriter w;
+  system.canonicalize(w);
+  return w.take();
+}
+
+std::vector<PathSystem> reachableStates() {
+  PathSystem initial(PathSystem::makeGoal(K::openSlot, PathEnd::left),
+                     PathSystem::makeGoal(K::openSlot, PathEnd::right), 0,
+                     /*defer_attach=*/true);
+  initial.setChaosBudget(1);
+  initial.setModifyBudget(1);
+  std::vector<PathSystem> states{initial};
+  std::set<std::vector<std::uint8_t>> seen{canonicalBytes(initial)};
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    for (const PathAction& action : states[i].enabledActions()) {
+      PathSystem next = states[i];
+      next.apply(action);
+      if (seen.insert(canonicalBytes(next)).second) {
+        states.push_back(std::move(next));
+      }
+    }
+  }
+  return states;
+}
+
+TEST(PathRecycling, ActionsFilledIntoADirtyBufferMatchTheReturnedList) {
+  const std::vector<PathSystem> states = reachableStates();
+  ASSERT_EQ(states.size(), 13470u);
+  std::vector<PathAction> buffer;
+  std::size_t mismatches = 0;
+  for (const PathSystem& state : states) {
+    // Whatever the last state left, plus one stale entry.
+    buffer.push_back(PathAction{});
+    state.enabledActions(buffer);
+    mismatches += buffer == state.enabledActions() ? 0 : 1;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(PathRecycling, AssignedOverAnotherStateBehavesLikeAFreshCopy) {
+  const std::vector<PathSystem> states = reachableStates();
+  ASSERT_EQ(states.size(), 13470u);
+  PathSystem recycled = states.front();
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    // Last held some other state, possibly one with longer queues.
+    recycled = states[(i * 7919 + 1) % states.size()];
+    recycled = states[i];
+    PathSystem fresh(states[i]);
+    bool same = canonicalBytes(recycled) == canonicalBytes(fresh) &&
+                recycled.enabledActions() == fresh.enabledActions();
+    // And it steps the same way.
+    for (const PathAction& action : fresh.enabledActions()) {
+      PathSystem a = fresh;
+      PathSystem b = states.back();
+      b = recycled;
+      a.apply(action);
+      b.apply(action);
+      same = same && canonicalBytes(a) == canonicalBytes(b);
+    }
+    mismatches += same ? 0 : 1;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ----------------------------------------------------------------- tracing

@@ -197,6 +197,68 @@ TEST(Bytes, StateHashSeparatesLengths) {
             stateHash(std::vector<std::uint8_t>{0}));
 }
 
+// The fields of one test encoding; `n` sets the string's length.
+void encodeSample(ByteWriter& w, std::size_t n) {
+  w.u8(static_cast<std::uint8_t>(n));
+  w.u16(static_cast<std::uint16_t>(n * 3));
+  w.str(std::string(n, static_cast<char>('a' + n % 26)));
+  w.u32(static_cast<std::uint32_t>(n * 7));
+  w.u64(0x0102030405060708ULL ^ n);
+  w.boolean(n % 2 == 1);
+}
+
+TEST(Bytes, WriterReusedAcrossClearMatchesAFreshOne) {
+  // Shorter and longer encodings in turn, so a reused writer both writes
+  // inside capacity it already holds and grows past it. An encoding is
+  // 20 + n bytes: n = 43..45 and 108..109 end on either side of 64 and 128.
+  ByteWriter reused;
+  for (const std::size_t n : {0u, 5u, 300u, 7u, 1000u, 43u, 44u, 45u, 108u,
+                              109u, 3u, 5000u, 0u}) {
+    reused.clear();
+    encodeSample(reused, n);
+    ByteWriter fresh;
+    encodeSample(fresh, n);
+    EXPECT_EQ(reused.size(), fresh.bytes().size()) << "n=" << n;
+    EXPECT_EQ(reused.bytes(), fresh.bytes()) << "n=" << n;
+  }
+}
+
+TEST(Bytes, StrAcrossAGrowthBoundaryKeepsEveryByte) {
+  ByteWriter w;
+  w.u16(0x1234);
+  w.u32(0xdeadbeef);
+  std::vector<std::uint8_t> expected{0x34, 0x12, 0xef, 0xbe, 0xad, 0xde};
+  EXPECT_EQ(w.bytes(), expected);
+  // Longer than the room left: the writer grows in the middle of it.
+  const std::string text(100, 'z');
+  w.str(text);
+  expected.insert(expected.end(), {100, 0, 0, 0});
+  expected.insert(expected.end(), text.begin(), text.end());
+  EXPECT_EQ(w.bytes(), expected);
+  // Writing on after bytes() continues right behind what it returned.
+  w.u64(0x0807060504030201ULL);
+  expected.insert(expected.end(), {1, 2, 3, 4, 5, 6, 7, 8});
+  EXPECT_EQ(w.size(), expected.size());
+  EXPECT_EQ(w.bytes(), expected);
+}
+
+TEST(Bytes, TakeAfterGrowthReturnsExactlyTheWrittenBytes) {
+  ByteWriter w;
+  std::vector<std::uint8_t> expected;
+  for (std::uint16_t i = 0; i < 1000; ++i) {
+    w.u16(i);
+    expected.push_back(static_cast<std::uint8_t>(i));
+    expected.push_back(static_cast<std::uint8_t>(i >> 8));
+  }
+  EXPECT_EQ(w.take(), expected);
+  EXPECT_EQ(w.size(), 0u);
+  // The writer is empty after take() and encodes afresh.
+  encodeSample(w, 9);
+  ByteWriter fresh;
+  encodeSample(fresh, 9);
+  EXPECT_EQ(w.take(), fresh.bytes());
+}
+
 TEST(SimTime, ArithmeticAndComparison) {
   using namespace literals;
   SimTime t0;
